@@ -43,7 +43,7 @@ case "$mode" in
       -DAVT_SANITIZE=thread -DAVT_BUILD_BENCH=OFF -DAVT_BUILD_EXAMPLES=OFF
     cmake --build "$build_dir" -j "$jobs"
     ctest --test-dir "$build_dir" \
-      -R '^(parallel_determinism_test|util_test)$' \
+      -R '^(parallel_determinism_test|trial_engine_test|util_test)$' \
       --output-on-failure -j "$jobs" "$@"
     ;;
   --werror)

@@ -199,6 +199,8 @@ void FollowerOracle::BuildBase(std::span<const VertexId> anchors,
   base_valid_ = true;
   if (k == 0) {
     base_anchor_.Clear();
+    base_bump_.Clear();
+    base_deg_minus_.Clear();
     base_candidate_.Clear();
     base_anchors_.clear();
     base_visited_.clear();
@@ -224,8 +226,8 @@ uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
   marginal_visited_.clear();
   heap_.clear();
 
-  if (base_anchor_.Get(x)) return base_count_;  // trial set == base set
   marginal_visited_.push_back(x);
+  if (base_anchor_.Get(x)) return base_count_;  // trial set == base set
   if (base_candidate_.Get(x)) {
     // x's phase-1 influence on others is already in the base state (a
     // candidate propagates the same +1 credit to its later neighbors
@@ -280,10 +282,62 @@ uint32_t FollowerOracle::MarginalUpperBoundImpl(const Adjacency& adj,
   return base_count_ + added;
 }
 
+void FollowerOracle::SnapshotBase(std::vector<BaseState>* out) const {
+  out->clear();
+  auto add = [&](VertexId v) {
+    out->push_back({v, base_bump_.Get(v), base_deg_minus_.Get(v),
+                    base_anchor_.Get(v), base_candidate_.Get(v)});
+  };
+  // Anchors are never pushed, so the two lists are disjoint, and every
+  // vertex a cascade credits (bump or deg-) is pushed and popped once.
+  for (VertexId v : base_anchors_) add(v);
+  for (VertexId v : base_visited_) add(v);
+  std::sort(out->begin(), out->end(),
+            [](const BaseState& a, const BaseState& b) {
+              return a.vertex < b.vertex;
+            });
+}
+
+void FollowerOracle::AppendBaseChange(std::span<const BaseState> snapshot,
+                                      std::vector<VertexId>* out) {
+  auto in_snapshot = [snapshot](VertexId v) {
+    auto it = std::lower_bound(
+        snapshot.begin(), snapshot.end(), v,
+        [](const BaseState& s, VertexId id) { return s.vertex < id; });
+    return it != snapshot.end() && it->vertex == v;
+  };
+  WithAdjacency([&](const auto& adj) {
+    auto emit = [&](VertexId v) {
+      out->push_back(v);
+      for (VertexId w : adj.Neighbors(v)) out->push_back(w);
+    };
+    // Vertices on the snapshot's support: compare field by field (off
+    // the resident support they read all-zero and differ).
+    for (const BaseState& s : snapshot) {
+      const BaseState now{s.vertex, base_bump_.Get(s.vertex),
+                          base_deg_minus_.Get(s.vertex),
+                          base_anchor_.Get(s.vertex),
+                          base_candidate_.Get(s.vertex)};
+      if (!now.SameState(s)) emit(s.vertex);
+    }
+    // Resident support off the snapshot's: an anchor flag or a credit
+    // against the snapshot's all-zero state, so always changed.
+    for (VertexId v : base_anchors_) {
+      if (!in_snapshot(v)) emit(v);
+    }
+    for (VertexId v : base_visited_) {
+      if (!in_snapshot(v)) emit(v);
+    }
+  });
+}
+
 uint32_t FollowerOracle::MarginalUpperBound(VertexId x) {
   AVT_DCHECK(base_valid_);
   ++stats_.bound_queries;
-  if (base_k_ == 0) return 0;
+  if (base_k_ == 0) {
+    marginal_visited_.assign(1, x);
+    return 0;
+  }
   return WithAdjacency(
       [&](const auto& adj) { return MarginalUpperBoundImpl(adj, x); });
 }

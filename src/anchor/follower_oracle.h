@@ -29,10 +29,11 @@
 //
 // Phase 1 alone is exposed as UpperBound(): its candidate count is a
 // certified upper bound on |F| at a fraction of a full query's cost
-// (no support scans, no fixpoint). The lazy greedy pick loop uses it to
-// decide which candidates deserve a full query — and because the bound
-// is valid (not a stale heuristic), the lazy argmax is bit-identical to
-// the exhaustive scan. See docs/PERFORMANCE.md.
+// (no support scans, no fixpoint). The lazy pick loops use it — as
+// marginal probes over a resident base, below — to decide which
+// candidates deserve a full query, and because the bound is valid (not
+// a stale heuristic), the lazy argmax is bit-identical to the
+// exhaustive scan. See docs/PERFORMANCE.md.
 //
 // All scratch state is epoch-stamped and all hot vectors are reused
 // across queries: evaluating a candidate anchor set is allocation-free
@@ -126,16 +127,29 @@ class FollowerOracle {
   // --- marginal probes over a resident base cascade -----------------
   //
   // The pick loops evaluate UpperBound(S, x) for every candidate x of a
-  // pool while S stays fixed; re-walking S's whole cascade per probe is
-  // the dominant cost. BuildBase runs phase 1 for S once and keeps its
-  // state resident; MarginalUpperBound(x) then *continues* the fixpoint
-  // with x's seeds over epoch-cleared overlay arrays, touching only x's
-  // marginal region, and returns exactly UpperBound(S, x, k). This is
-  // sound because the phase-1 candidate set is the least fixpoint of a
+  // pool; re-walking S's whole cascade per probe is the dominant cost.
+  // BuildBase runs phase 1 for S once and keeps its state resident;
+  // MarginalUpperBound(x) then *continues* the fixpoint with x's seeds
+  // over epoch-cleared overlay arrays, touching only x's marginal
+  // region, and returns exactly UpperBound(S, x, k). This is sound
+  // because the phase-1 candidate set is the least fixpoint of a
   // monotone credit rule: influence flows only forward in K-order, so
   // continuing the ordered pass from the base fixpoint with extra seeds
   // reaches the trial set's fixpoint (tests/follower_oracle_test.cc pins
   // MarginalUpperBound == UpperBound on random graphs).
+  //
+  // Read set. A probe reads resident base state (anchor, bump, deg-,
+  // candidate) only at x, at x's neighbors, at the vertices it pops,
+  // and at the neighbors of the vertices it adds as candidates; the
+  // rest is K-order state shared by every base. Its marginal
+  // MUB(x) - |base| is therefore a function of that read set alone:
+  // for two bases S0 and B over the same graph and K-order, let Δ be
+  // the vertices whose resident state differs (AppendBaseChange). If
+  // x's S0 region — x plus its pops, LastMarginalVisited() — avoids
+  // Δ ∪ N(Δ), every read sees identical values and
+  //     MUB_B(x) - |base(B)| == MUB_S0(x) - |base(S0)|.
+  // TrialEngine probes a pool once against S0 and re-probes only the
+  // candidates whose region meets Δ ∪ N(Δ).
   //
   // Base state survives full CountFollowers queries (disjoint scratch);
   // it is invalidated by ResizeScratch or the next BuildBase.
@@ -144,6 +158,8 @@ class FollowerOracle {
   void BuildBase(std::span<const VertexId> anchors, uint32_t k);
   bool HasBase() const { return base_valid_; }
   void InvalidateBase() { base_valid_ = false; }
+  /// |base|: the phase-1 candidate count of the resident base.
+  uint32_t BaseCount() const { return base_count_; }
 
   /// Phase-1 candidate count of base_anchors ∪ {x} (== UpperBound for
   /// that trial set), at the cost of x's marginal cascade only.
@@ -156,11 +172,35 @@ class FollowerOracle {
   std::span<const VertexId> BaseRegionVisited() const {
     return base_visited_;
   }
-  /// Vertices the last MarginalUpperBound popped beyond the base region
-  /// (plus x itself, reported first).
+  /// x itself (first) plus the vertices the last MarginalUpperBound
+  /// popped beyond the base region: the probe's region.
   std::span<const VertexId> LastMarginalVisited() const {
     return marginal_visited_;
   }
+
+  /// One vertex's resident base state: everything a marginal probe
+  /// reads besides the K-order.
+  struct BaseState {
+    VertexId vertex;
+    uint32_t bump;
+    uint32_t deg_minus;
+    uint8_t anchor;
+    uint8_t candidate;
+    bool SameState(const BaseState& other) const {
+      return bump == other.bump && deg_minus == other.deg_minus &&
+             anchor == other.anchor && candidate == other.candidate;
+    }
+  };
+
+  /// The resident base state on its support — the base anchors and
+  /// pops; every other vertex reads all-zero — sorted by vertex id.
+  void SnapshotBase(std::vector<BaseState>* out) const;
+
+  /// Appends Δ ∪ N(Δ), where Δ holds the vertices whose resident base
+  /// state differs from `snapshot` (a SnapshotBase of another base over
+  /// the same graph and K-order). May append a vertex more than once.
+  void AppendBaseChange(std::span<const BaseState> snapshot,
+                        std::vector<VertexId>* out);
 
   /// Vertices whose state the most recent query (full or bound) depended
   /// on: the unique anchors plus every vertex popped by the forward pass.

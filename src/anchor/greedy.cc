@@ -9,63 +9,55 @@ namespace avt {
 
 SolverResult GreedySolver::Solve(const Graph& graph, uint32_t k,
                                  uint32_t l) {
-  SolverResult result;
-  if (k == 0 || l == 0) return result;
+  if (k == 0 || l == 0) return SolverResult{};
 
   // One contiguous adjacency snapshot serves the whole solve: the
   // K-order build and every oracle cascade scan it. The view lives in
   // the solver so back-to-back solves reuse its buffers.
   graph.BuildCsr(&csr_);
-  const CsrView& csr = csr_;
   KOrder order;
-  order.Build(csr);
+  order.Build(csr_);
+  TrialEngine engine(&graph, &order, &csr_, options_.num_threads);
+  return Solve(graph, order, engine, k, l);
+}
 
-  // Candidate filtering scans the snapshot too — identical pool either
-  // way (the view preserves neighbor order), contiguous reads.
+SolverResult GreedySolver::Solve(const Graph& graph, const KOrder& order,
+                                 TrialEngine& engine, uint32_t k,
+                                 uint32_t l) {
+  SolverResult result;
+  if (k == 0 || l == 0) return result;
+  const uint64_t visited_before = engine.CascadeVisited();
+
   std::vector<VertexId> pool = options_.prune_candidates
-                                   ? CollectAnchorCandidates(csr, order, k)
-                                   : CollectUnprunedCandidates(csr, order, k);
+                                   ? CollectAnchorCandidates(graph, order, k)
+                                   : CollectUnprunedCandidates(graph, order, k);
 
   // Algorithm 2: l picks, each taking the candidate with the most
-  // followers given the anchors already chosen — evaluated by the trial
-  // engine (per-worker oracles, deterministic sharded reduction; serial
-  // when num_threads <= 1). Both strategies share the engine:
-  //   * lazy (default) — certified-bound CELF per shard (see greedy.h);
+  // followers given the anchors already chosen — one trial-engine
+  // session over the pool (per-worker oracles, deterministic reduction;
+  // serial when the engine has one worker):
+  //   * lazy (default) — every candidate probed once against ∅, then
+  //     per pick only the probes the chosen anchors' cascade touches
+  //     are redone, and certified-bound CELF resolves (see greedy.h);
   //   * eager scan — one full query per candidate, the reference loop.
   // Zero-marginal picks are allowed (an anchor always joins C_k(S)
   // itself), matching the paper's objective |C_k(S)| = |C_k| + |S| + |F|.
-  TrialEngine engine(&graph, &order, &csr, options_.num_threads);
-  TrialPolicy policy;
-  policy.lazy = options_.lazy;
-
-  std::vector<uint8_t> taken(graph.NumVertices(), 0);
   std::vector<VertexId> chosen;
-  std::vector<VertexId> live;
-  live.reserve(pool.size());
+  result.bound_probes = engine.Begin(pool, chosen, k, options_.lazy);
   for (uint32_t pick = 0; pick < l; ++pick) {
-    // The pool is id-ascending (CollectAnchorCandidates guarantees it);
-    // the engine's reduction does not depend on that, but keeping the
-    // order makes the serial lazy heap bit-compatible with PR 2.
-    live.clear();
-    for (VertexId x : pool) {
-      if (!taken[x]) live.push_back(x);
-    }
-    if (live.empty()) break;  // candidate pool exhausted
-    TrialOutcome outcome = engine.Evaluate(live, chosen, k, policy);
+    TrialOutcome outcome = engine.Pick(chosen, TrialPolicy{});
     result.candidates_visited += outcome.full_queries;
     result.bound_probes += outcome.bound_probes;
-    if (outcome.vertex == kNoVertex) break;
+    if (outcome.vertex == kNoVertex) break;  // candidate pool exhausted
     chosen.push_back(outcome.vertex);
-    taken[outcome.vertex] = 1;
   }
+  engine.End();
 
   result.anchors = chosen;
   if (!chosen.empty()) {
-    FollowerOracle oracle(&graph, &order, &csr);
-    oracle.CountFollowers(chosen, k, &result.followers);
-    result.cascade_visited = oracle.stats().visited;
+    engine.oracle().CountFollowers(chosen, k, &result.followers);
   }
-  result.cascade_visited += engine.CascadeVisited();
+  result.cascade_visited = engine.CascadeVisited() - visited_before;
   return result;
 }
 

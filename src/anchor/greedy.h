@@ -16,34 +16,40 @@
 //     proves inapproximability), so the classic CELF trick of reusing
 //     stale gains as bounds is unsound here: a candidate's gain can grow
 //     as S grows, and a stale bound would silently change the argmax.
-//     Instead, each pick refreshes a cheap certified bound per candidate
-//     (FollowerOracle::UpperBound — the phase-1 cascade without the
-//     elimination fixpoint), then pops a max-heap keyed (bound desc,
-//     id asc), fully evaluating only the top until an exact entry
-//     dominates every remaining bound. Because bound >= exact always
-//     holds for the same trial set, the accepted pick is provably the
-//     exhaustive argmax under the same tie-break (followers desc, id
-//     asc) — anchors are bit-identical to the serial scan while full
-//     oracle queries collapse to a handful per pick.
+//     Instead, each pick uses a cheap certified bound per candidate for
+//     the current S (FollowerOracle::UpperBound — the phase-1 cascade
+//     without the elimination fixpoint; reused from the ∅ probe only
+//     where it is provably the same value), then pops a max-heap keyed
+//     (bound desc, id asc), fully evaluating only the top until an
+//     exact entry dominates every remaining bound. Because bound >=
+//     exact always holds for the same trial set, the accepted pick is
+//     provably the exhaustive argmax under the same tie-break
+//     (followers desc, id asc) — anchors are bit-identical to the
+//     serial scan while full oracle queries collapse to a handful per
+//     pick.
 //   * lazy = false ("scan") — the textbook loop: one full oracle query
 //     per candidate per pick. Kept as the reference for tests and the
 //     perf gate.
 //
-// num_threads > 1 distributes either strategy over a worker pool with
-// one FollowerOracle per worker: lazy shards the candidate heap into
-// fixed per-thread slices, eager fans full queries out with work
-// stealing, and both reduce winners by (followers desc, id asc) — the
-// anchors stay bit-identical to the serial path at every thread count
-// (the determinism argument lives in trial_engine.h; enforced by
+// The whole solve is one TrialEngine session. Lazy probes every
+// candidate once against ∅ and, per pick, re-probes only candidates
+// whose probe region the chosen anchors' base cascade touches — every
+// other bound is exact as |base(S)| + its ∅ marginal. num_threads > 1
+// fans the probes (lazy) or the full queries (eager) out over one
+// FollowerOracle per worker; winners reduce by (followers desc, id asc)
+// and the anchors stay bit-identical to the serial path at every thread
+// count (the determinism argument lives in trial_engine.h; enforced by
 // tests/parallel_determinism_test.cc).
 //
-// Every mode snapshots the graph into a CsrView once per solve and routes
-// the K-order build plus all cascade scans through contiguous spans.
+// The graph-only Solve snapshots the graph into a CsrView once per solve
+// and routes the K-order build plus all cascade scans through contiguous
+// spans; the prebuilt-view overload reuses the caller's structures.
 
 #ifndef AVT_ANCHOR_GREEDY_H_
 #define AVT_ANCHOR_GREEDY_H_
 
 #include "anchor/solver.h"
+#include "anchor/trial_engine.h"
 #include "graph/csr.h"
 
 namespace avt {
@@ -69,6 +75,14 @@ class GreedySolver : public AnchorSolver {
   explicit GreedySolver(const GreedyOptions& options) : options_(options) {}
 
   SolverResult Solve(const Graph& graph, uint32_t k, uint32_t l) override;
+
+  /// The same solve on a prebuilt view: `order` is the K-order of
+  /// `graph` and `engine` is bound to both (any adjacency backing). No
+  /// adjacency snapshot, K-order or oracle is built; the engine's worker
+  /// count replaces options' num_threads. IncAvtTracker's first solve
+  /// runs on its maintainer's structures and its own engine this way.
+  SolverResult Solve(const Graph& graph, const KOrder& order,
+                     TrialEngine& engine, uint32_t k, uint32_t l);
 
   std::string name() const override {
     if (!options_.prune_candidates) return "Greedy-nopruning";

@@ -5,39 +5,50 @@
 // search both reduce to the same question: among live candidates x,
 // which trial set base ∪ {x} has the most followers — tie-break smallest
 // id — optionally restricted to counts strictly above an incumbent
-// floor? Every trial is a pure function of the shared read-only
-// (graph, K-order[, CSR]) triple, so trials are embarrassingly parallel;
-// what is NOT trivially parallel is keeping the answer (and the lazy
-// strategy's work counters) bit-identical to the serial loop. TrialEngine
-// owns that guarantee:
+// floor? Both loops ask it repeatedly over ONE candidate set with a
+// slowly changing base (l greedy picks; IncAVT's l swap slots plus the
+// extend phase), so the engine runs them as a session: Begin fixes the
+// candidates, each Pick answers the question for one base, and each
+// winner leaves the session. Every trial is a pure function of the
+// shared read-only (graph, K-order[, CSR]) triple; what is NOT trivially
+// parallel is keeping the answer and the work counters bit-identical at
+// every thread count. TrialEngine owns that guarantee:
 //
 //   * one FollowerOracle per worker — oracle queries are non-destructive
 //     over the shared structures, and each worker's cascade scratch
-//     (including its own resident base cascade) is private;
-//   * lazy mode runs in two phases. Phase 1 (parallel): the live list is
-//     partitioned into per-worker GRAPH REGIONS — candidates sorted by
-//     K-order position (level, tag), then block-split — so the marginal
-//     cascades a worker probes share cache-resident K-order state; each
-//     worker builds the base cascade once and writes one certified
-//     MarginalUpperBound per candidate into an index-addressed slot.
-//     Phase 2 (serial): ONE global CELF heap over all bounds, keyed
-//     (value desc, id asc), pop-resolved with full queries on worker 0's
-//     oracle until the top is exact (or provably cannot beat the floor).
-//     Because each bound is a pure function of (base, candidate, k) —
-//     independent of which worker produced it or in what order — the
-//     heap's content, its pop sequence, and therefore the winner AND the
-//     full_queries/bound_probes counters are identical to the serial
-//     loop at every thread count. In particular the global winner is
-//     resolved exactly ONCE per call: full queries no longer scale with
-//     the worker count (the PR-3 per-shard design resolved one winner
-//     per shard, multiplying exact queries by the thread count — the
-//     regression BENCH_PR3 recorded);
-//   * eager mode fans the full queries out with work stealing
-//     (ParallelFor) and keeps a per-worker running best — valid because
+//     (including its own resident base cascade) is private. Worker 0's
+//     oracle is also the caller's serial oracle (oracle()), so a
+//     single-threaded engine allocates exactly one;
+//   * lazy sessions probe ONCE per session. Begin builds the base
+//     cascade of S0 (IncAVT: the anchors at transaction entry; greedy:
+//     ∅) and probes every candidate x against it — fanned out over
+//     per-worker GRAPH REGIONS (candidates sorted by K-order position
+//     (level, tag), then block-split, so a worker's probes share
+//     cache-resident K-order state). It keeps each probe's marginal
+//     MUB_S0(x) − |base(S0)| and its region (x plus the vertices it
+//     popped), and ranks the candidates once by (marginal desc, id asc).
+//     Each Pick with base B then builds base(B) on worker 0, computes Δ
+//     — the vertices whose resident base state differs between S0 and B
+//     — and re-probes only the candidates whose S0 region meets
+//     Δ ∪ N(Δ). Every other bound is exactly |base(B)| + marginal_S0(x)
+//     (the read-set argument in anchor/follower_oracle.h), so the ranked
+//     list stays in (bound desc, id asc) order under the constant
+//     offset. The pick pops the larger of the list head and a small
+//     heap holding the re-probes and resolved entries — the unchanged
+//     CELF rule: settle with zero further queries if the top cannot
+//     beat the floor, accept it if exact, otherwise resolve it with ONE
+//     full query on worker 0 and re-insert. Because every bound is a
+//     pure function of (base, candidate, k), the pop sequence — hence
+//     the winner AND the full_queries/bound_probes counters — is
+//     identical at every thread count and equal to a loop that probes
+//     every candidate against every base; only the probes drop
+//     (tests/trial_engine_test.cc pins both);
+//   * eager sessions fan each Pick's full queries out with work stealing
+//     (ParallelFor) and keep a per-worker running best — valid because
 //     the global (followers desc, id asc) maximum of a set is reachable
 //     from any partition of it, and the query count is |live| at every
 //     thread count;
-//   * small live sets skip the fan-out entirely (the base-cascade
+//   * small candidate sets skip the fan-out entirely (the base-cascade
 //     rebuild per worker plus the fork-join wakeup dwarf a handful of
 //     marginal probes); the serial path computes the identical bounds,
 //     so the cutover is invisible in outputs and counters.
@@ -58,36 +69,34 @@
 
 namespace avt {
 
-/// How one Evaluate call selects its winner.
+/// How one Pick selects its winner.
 struct TrialPolicy {
-  /// Certified-bound gating (phase-1 probes, pop-resolve) instead of a
-  /// full query per candidate. Identical winner either way.
-  bool lazy = true;
   /// When true, only trials with followers strictly above `floor`
-  /// qualify (IncAVT's swap slots); a lazy call whose top bound cannot
+  /// qualify (IncAVT's swap slots); a lazy pick whose top bound cannot
   /// beat the floor settles with zero full queries.
   bool gate = false;
   uint32_t floor = 0;
 };
 
 /// Winner plus deterministic work counters. Both counters are pure
-/// functions of (live, base, k, policy) — never of the thread count.
+/// functions of the session and the pick's (base, policy) — never of
+/// the thread count.
 struct TrialOutcome {
   VertexId vertex = kNoVertex;  // kNoVertex: no live candidate qualified
   uint32_t followers = 0;       // exact F(base ∪ {vertex})
   uint64_t full_queries = 0;
-  uint64_t bound_probes = 0;
+  uint64_t bound_probes = 0;    // re-probes against this pick's base
 };
 
 /// Parallel (or serial, num_threads <= 1) trial evaluator bound to one
 /// read-only (graph, order[, csr]) triple. The referenced structures must
-/// outlive the engine and stay consistent while Evaluate runs; after the
-/// graph/order are maintained in place (IncAVT), the next Evaluate simply
-/// reads the new state — per-worker oracles hold no cross-call caches.
-/// `dynamic_csr` (optional) binds every worker oracle to one shared
-/// delta-maintained adjacency mirror: the maintainer patches it between
-/// Evaluate calls and workers only read it during a call, so the sharing
-/// is race-free and the scans stay contiguous across the whole stream.
+/// outlive the engine and stay unchanged during a session; after the
+/// graph/order are maintained in place (IncAVT), the next session simply
+/// reads the new state. `dynamic_csr` (optional) binds every worker
+/// oracle to one shared delta-maintained adjacency mirror: the
+/// maintainer patches it between sessions and workers only read it, so
+/// the sharing is race-free and the scans stay contiguous across the
+/// whole stream.
 class TrialEngine {
  public:
   TrialEngine(const Graph* graph, const KOrder* order, const CsrView* csr,
@@ -95,33 +104,87 @@ class TrialEngine {
 
   uint32_t num_threads() const { return num_threads_; }
 
+  /// Worker 0's oracle, for the caller's own serial queries between
+  /// picks (its resident base is the engine's; do not BuildBase on it
+  /// during a lazy session).
+  FollowerOracle& oracle() { return *oracles_[0]; }
+
   /// Re-sizes every worker oracle's scratch after the bound graph/order
   /// grew (streaming sources add vertices mid-stream). Call between
-  /// Evaluate calls only.
+  /// sessions only.
   void ResizeScratch();
 
-  /// Argmax over live candidates of F(base ∪ {x}) under `policy`. `live`
-  /// must be duplicate-free and disjoint from `base`; id-ascending order
-  /// is NOT required (neither the reduction nor the K-order partition
-  /// depends on it).
-  TrialOutcome Evaluate(std::span<const VertexId> live,
-                        std::span<const VertexId> base, uint32_t k,
-                        const TrialPolicy& policy);
+  /// Opens a session over `candidates` (duplicate-free, disjoint from
+  /// every base a Pick passes; any order). Lazy sessions probe every
+  /// candidate against `s0` here and return the number of probes run
+  /// (|candidates|); eager sessions ignore `s0` and return 0.
+  uint64_t Begin(std::span<const VertexId> candidates,
+                 std::span<const VertexId> s0, uint32_t k, bool lazy);
+
+  /// Argmax over the session's remaining candidates of F(base ∪ {x})
+  /// under `policy`. The winner leaves the session.
+  TrialOutcome Pick(std::span<const VertexId> base,
+                    const TrialPolicy& policy);
+
+  /// Closes the session and releases its scratch. A one-shot solve
+  /// calls it so its candidate set — which can dwarf the per-transaction
+  /// sessions that follow — does not stay resident.
+  void End();
 
   /// Total cascade vertices visited across all worker oracles (the
   /// solver-level cascade_visited metric).
   uint64_t CascadeVisited() const;
 
  private:
+  /// (vertex, candidate index): one vertex of one probe's S0 region.
+  struct RegionRef {
+    VertexId vertex;
+    uint32_t index;
+  };
+  /// Heap entry of a lazy pick: max-heap by value with smaller id first
+  /// on ties — the common tie-break of every pick loop.
+  struct LazyEntry {
+    uint32_t value;  // exact ? F(base ∪ {v}) : certified upper bound
+    VertexId vertex;
+    uint32_t index;
+    bool exact;
+    bool operator<(const LazyEntry& other) const {
+      if (value != other.value) return value < other.value;
+      return vertex > other.vertex;
+    }
+  };
+
+  TrialOutcome PickLazy(std::span<const VertexId> base,
+                        const TrialPolicy& policy);
+  TrialOutcome PickEager(std::span<const VertexId> base,
+                         const TrialPolicy& policy);
+  void Take(uint32_t index);
+
   const uint32_t num_threads_;
   const KOrder* order_;               // partition key source (level, tag)
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads_ == 1
   std::vector<std::unique_ptr<FollowerOracle>> oracles_;
-  /// Evaluate scratch, reused across calls: per-candidate certified
-  /// bounds (index-addressed, so phase 1 writes are race-free) and the
-  /// K-order-sorted index permutation behind the region partition.
-  std::vector<uint32_t> bounds_;
-  std::vector<uint32_t> perm_;
+
+  // --- session state (scratch reused across sessions) ----------------
+  uint32_t k_ = 0;
+  bool lazy_ = false;
+  std::vector<VertexId> candidates_;
+  std::vector<uint8_t> taken_;  // per candidate index: a past winner
+  size_t remaining_ = 0;
+  std::vector<uint32_t> live_;  // eager pick scratch: live indices
+  // Lazy only: the S0 probes.
+  std::vector<FollowerOracle::BaseState> s0_state_;
+  uint32_t s0_count_ = 0;
+  std::vector<int32_t> marginal_;  // MUB_S0(x) − |base(S0)|, >= -1
+  std::vector<uint32_t> ranked_;   // indices by (marginal desc, id asc)
+  std::vector<RegionRef> regions_;  // every probe region, by vertex
+  std::vector<std::vector<RegionRef>> worker_regions_;  // workers >= 1
+  std::vector<uint32_t> perm_;  // K-order-sorted indices (fan-out)
+  // Lazy pick scratch: candidates re-probed this pick carry its stamp.
+  std::vector<uint32_t> reprobed_at_;
+  uint32_t pick_stamp_ = 0;
+  std::vector<VertexId> change_;  // Δ ∪ N(Δ), with repeats
+  std::vector<LazyEntry> heap_;
 };
 
 }  // namespace avt

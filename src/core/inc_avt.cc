@@ -95,25 +95,25 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   // Scan backing per options_.csr: the maintained mirror (patched in
   // place, stable pointer), the per-delta rebuilt snapshot (stable
   // member, refilled before every use), or the dynamic adjacency. The
-  // engine's per-worker oracles share the same backing read-only.
+  // engine's per-worker oracles share the same backing read-only; its
+  // worker-0 oracle is also this tracker's serial oracle.
   rebuilt_csr_ = CsrView{};
-  const CsrView* frozen = options_.csr == IncAvtCsrMode::kRebuildPerDelta
-                              ? &rebuilt_csr_
-                              : nullptr;
-  oracle_ = std::make_unique<FollowerOracle>(&maintainer_.graph(),
-                                             &maintainer_.order(), frozen,
-                                             maintainer_.csr());
-  engine_ = options_.num_threads > 1
-                ? std::make_unique<TrialEngine>(&maintainer_.graph(),
-                                                &maintainer_.order(), frozen,
-                                                options_.num_threads,
-                                                maintainer_.csr())
-                : nullptr;
+  const CsrView* frozen = nullptr;
+  if (options_.csr == IncAvtCsrMode::kRebuildPerDelta) {
+    maintainer_.graph().BuildCsr(&rebuilt_csr_);
+    frozen = &rebuilt_csr_;
+  }
+  engine_ = std::make_unique<TrialEngine>(&maintainer_.graph(),
+                                          &maintainer_.order(), frozen,
+                                          options_.num_threads,
+                                          maintainer_.csr());
+  // The first solve runs on the maintainer's graph and K-order and this
+  // tracker's engine: no second adjacency, K-order or oracle set.
   GreedyOptions greedy_options;
   greedy_options.lazy = options_.lazy;
-  greedy_options.num_threads = options_.num_threads;
   GreedySolver greedy(greedy_options);
-  SolverResult first = greedy.Solve(g0, k_, l_);
+  SolverResult first = greedy.Solve(maintainer_.graph(), maintainer_.order(),
+                                    *engine_, k_, l_);
   anchors_ = first.anchors;
 
   // Reset the cross-snapshot memo under the configured retention
@@ -147,77 +147,21 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   return snap;
 }
 
-void IncAvtTracker::EagerLocalSearch(const std::vector<VertexId>& pool,
-                                     uint32_t& current,
-                                     AvtSnapshotResult& snap) {
-  // Algorithm 6 lines 9-16 verbatim: per anchor slot, evaluate every
-  // pool vertex with a full follower query and commit strict
-  // improvements.
-  std::vector<VertexId> base;
-  for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
-    base = anchors_;
-    base.erase(base.begin() + static_cast<ptrdiff_t>(i));
-    VertexId best_replacement = kNoVertex;
-    uint32_t best_followers = current;
-    for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
-      ++snap.candidates_visited;
-      uint32_t followers = oracle_->CountFollowers(base, v, k_);
-      if (followers > best_followers) {
-        best_followers = followers;
-        best_replacement = v;
-      }
-    }
-    if (best_replacement != kNoVertex) {
-      is_anchor_[anchors_[i]] = 0;
-      is_anchor_[best_replacement] = 1;
-      anchors_[i] = best_replacement;
-      current = best_followers;
-    }
-  }
-
-  // If the budget was never filled (tiny first snapshot), try to extend.
-  while (anchors_.size() < l_ && !pool.empty()) {
-    VertexId best_vertex = kNoVertex;
-    uint32_t best_followers = current;
-    for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
-      ++snap.candidates_visited;
-      uint32_t followers = oracle_->CountFollowers(anchors_, v, k_);
-      if (best_vertex == kNoVertex || followers > best_followers) {
-        best_followers = followers;
-        best_vertex = v;
-      }
-    }
-    if (best_vertex == kNoVertex) break;
-    anchors_.push_back(best_vertex);
-    is_anchor_[best_vertex] = 1;
-    current = best_followers;
-  }
-}
-
 void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
                                     uint32_t& current,
                                     AvtSnapshotResult& snap) {
-  // Same search as EagerLocalSearch, same committed anchors (see the
-  // equivalence argument in greedy.cc's LazyGreedy — identical heap
-  // discipline), but each full query is gated by a certified bound and
-  // both bounds and exact values are memoized across snapshots with
-  // region-based invalidation.
+  // The kMaintainedFull + memo ablation: LocalSearch's slot loop with
+  // a per-slot certified-bound heap (identical CELF discipline, so the
+  // same committed anchors), whose bounds and exact values are memoized
+  // across snapshots with region-based invalidation. Only the wider
+  // pools see recurring unimpacted candidates — in kRestricted the pool
+  // is a subset of the set ProcessDelta just invalidated, so per-slot
+  // entries would never hit.
   std::vector<VertexId> base;
   std::priority_queue<LazyEntry> heap;
   bool base_ready = false;  // physical base state == this slot's base?
 
-  // Per-(slot, candidate) values can only be reused across snapshots
-  // when the candidate can reappear in the pool with a clean region. In
-  // kRestricted the pool is a subset of impacted ∪ N(impacted) — exactly
-  // the set ProcessDelta just invalidated (every slot key's region
-  // contains its candidate) — so recording them would be pure overhead;
-  // the mode's cross-snapshot reuse comes from the incumbent memo and
-  // bound gating instead. Wider pools (kMaintainedFull) do get hits.
-  // MemoPolicy::kNone disables all of it (bound gating remains).
-  const bool memoize_slots =
-      mode_ != IncAvtMode::kRestricted && memo_.enabled();
+  FollowerOracle& oracle = engine_->oracle();
 
   // (Re)establishes the oracle's resident cascade for the slot's trial
   // base. Each slot's base is memoized across snapshots under
@@ -233,7 +177,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
                          bool record) {
     if (base_ready) return;
     const uint64_t base_key = kBaseKeyBase | slot;
-    if (record && memo_.enabled() && !memo_.ContainsLive(base_key)) {
+    if (record && !memo_.ContainsLive(base_key)) {
       // The base died (churn or eviction): every bound probed against
       // it dies too. Stale references — bounds since re-recorded under
       // a newer generation, or upgraded to exact entries that carry
@@ -241,14 +185,14 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       TouchList& bounds = slot_bound_keys_[slot];
       for (const TouchRef& ref : bounds.refs) memo_.EraseRef(ref.key, ref.gen);
       ClearTouchList(bounds);
-      oracle_->BuildBase(trial_base, k_);
+      oracle.BuildBase(trial_base, k_);
       const uint32_t gen = memo_.Record(base_key, {0, true});
       if (gen != TrialMemoStore::kDroppedGen) {
-        RecordTouch(base_key, gen, oracle_->BaseRegionAnchors(),
-                    oracle_->BaseRegionVisited());
+        RecordTouch(base_key, gen, oracle.BaseRegionAnchors(),
+                    oracle.BaseRegionVisited());
       }
     } else {
-      oracle_->BuildBase(trial_base, k_);
+      oracle.BuildBase(trial_base, k_);
     }
     base_ready = true;
   };
@@ -260,12 +204,12 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
                       VertexId v, bool record) -> uint32_t {
     ensure_base(slot, trial_base, record);
     ++snap.bound_probes;
-    uint32_t ub = oracle_->MarginalUpperBound(v);
-    if (record && memoize_slots) {
+    uint32_t ub = oracle.MarginalUpperBound(v);
+    if (record) {
       const uint64_t key = (slot << 32) | v;
       const uint32_t gen = memo_.Record(key, {ub, false});
       if (gen != TrialMemoStore::kDroppedGen) {
-        RecordTouch(key, gen, oracle_->LastMarginalVisited(), {});
+        RecordTouch(key, gen, oracle.LastMarginalVisited(), {});
         PushTouch(slot_bound_keys_[slot], {key, gen});
       }
     }
@@ -285,13 +229,13 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       if (top.exact) return top;
       heap.pop();
       ++snap.candidates_visited;
-      uint32_t exact = oracle_->CountFollowers(trial_base, top.vertex, k_);
-      if (record && memoize_slots) {
+      uint32_t exact = oracle.CountFollowers(trial_base, top.vertex, k_);
+      if (record) {
         const uint64_t key = (slot << 32) | top.vertex;
         const uint32_t gen = memo_.Record(key, {exact, true});
         if (gen != TrialMemoStore::kDroppedGen) {
-          RecordTouch(key, gen, oracle_->LastRegionAnchors(),
-                      oracle_->LastRegionVisited());
+          RecordTouch(key, gen, oracle.LastRegionAnchors(),
+                      oracle.LastRegionVisited());
         }
       }
       heap.push({exact, top.vertex, true});
@@ -318,7 +262,6 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
   // the next probe); without this gate a stale bound could under-
   // estimate and silently settle a slot the eager loop would improve.
   auto memo_hit = [&](uint64_t slot, VertexId v, LazyEntry* out) {
-    if (!memoize_slots) return false;
     TrialMemoStore::Entry entry;
     const bool found = memo_.Lookup((slot << 32) | v, &entry);
     const bool usable =
@@ -381,66 +324,41 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
   }
 }
 
-void IncAvtTracker::ParallelLocalSearch(const std::vector<VertexId>& pool,
-                                        uint32_t& current,
-                                        AvtSnapshotResult& snap) {
-  // The serial slot loops (Eager/LazyLocalSearch) fanned out over the
-  // trial engine: each slot's pool evaluation is one Evaluate call —
-  // fixed per-worker shards, per-worker oracles, (followers desc, id
-  // asc) reduction — so the committed anchors are bit-identical to the
-  // serial searches at every thread count. Cross-snapshot slot memo
-  // entries are not recorded here (worker oracles keep no state between
-  // calls); the incumbent memo in ProcessDelta still applies, and every
-  // commit must invalidate it exactly like the serial commit does.
-  TrialPolicy policy;
-  policy.lazy = options_.lazy;
-  std::vector<VertexId> base;
-  std::vector<VertexId> live;
-  live.reserve(pool.size());
-  auto collect_live = [&] {
-    live.clear();
-    for (VertexId v : pool) {
-      if (!is_anchor_[v]) live.push_back(v);
-    }
-  };
-  auto commit_invalidates_memo = [&] {
+void IncAvtTracker::LocalSearch(const std::vector<VertexId>& pool,
+                                uint32_t& current, AvtSnapshotResult& snap) {
+  // Algorithm 6 lines 9-16 as one trial-engine session over the pool:
+  // per anchor slot the best strict improvement over `current` wins;
+  // then, if the budget was never filled (tiny first snapshot), extend
+  // with the ungated argmax. Lazy sessions probe every pool vertex once
+  // against the anchors at entry and re-probe per slot only where the
+  // slot's base changes a probe's region (anchor/trial_engine.h);
+  // eager sessions run one full query per live vertex per slot. Both
+  // commit exactly the eager loop's anchors at every thread count.
+  if (pool.empty()) return;
+  snap.bound_probes += engine_->Begin(pool, anchors_, k_, options_.lazy);
+  // Every commit changes F(S): the incumbent memo entry dies with it.
+  auto commit = [&](const TrialOutcome& outcome) {
+    snap.candidates_visited += outcome.full_queries;
+    snap.bound_probes += outcome.bound_probes;
+    if (outcome.vertex == kNoVertex) return false;
     memo_.Clear();
     for (TouchList& bounds : slot_bound_keys_) ClearTouchList(bounds);
+    current = outcome.followers;
+    return true;
   };
 
-  // Swap phase: per anchor slot, the best strict improvement wins.
-  for (size_t i = 0; i < anchors_.size() && !pool.empty(); ++i) {
+  std::vector<VertexId> base;
+  for (size_t i = 0; i < anchors_.size(); ++i) {
     base = anchors_;
     base.erase(base.begin() + static_cast<ptrdiff_t>(i));
-    collect_live();
-    if (live.empty()) continue;
-    policy.gate = true;
-    policy.floor = current;
-    TrialOutcome outcome = engine_->Evaluate(live, base, k_, policy);
-    snap.candidates_visited += outcome.full_queries;
-    snap.bound_probes += outcome.bound_probes;
-    if (outcome.vertex == kNoVertex) continue;  // slot settled
-    is_anchor_[anchors_[i]] = 0;
-    is_anchor_[outcome.vertex] = 1;
-    anchors_[i] = outcome.vertex;
-    commit_invalidates_memo();
-    current = outcome.followers;
+    TrialOutcome outcome =
+        engine_->Pick(base, TrialPolicy{.gate = true, .floor = current});
+    if (commit(outcome)) anchors_[i] = outcome.vertex;
   }
-
-  // Extend phase: ungated argmax, like the serial extend loops.
-  while (anchors_.size() < l_ && !pool.empty()) {
-    collect_live();
-    if (live.empty()) break;
-    policy.gate = false;
-    policy.floor = 0;
-    TrialOutcome outcome = engine_->Evaluate(live, anchors_, k_, policy);
-    snap.candidates_visited += outcome.full_queries;
-    snap.bound_probes += outcome.bound_probes;
-    if (outcome.vertex == kNoVertex) break;
+  while (anchors_.size() < l_) {
+    TrialOutcome outcome = engine_->Pick(anchors_, TrialPolicy{});
+    if (!commit(outcome)) break;
     anchors_.push_back(outcome.vertex);
-    is_anchor_[outcome.vertex] = 1;
-    commit_invalidates_memo();
-    current = outcome.followers;
   }
 }
 
@@ -451,7 +369,6 @@ void IncAvtTracker::EnsureVertices(VertexId count) {
   pool_state_.resize(n, kUnseen);
   is_anchor_.resize(n, 0);
   touch_index_.resize(n);
-  if (oracle_) oracle_->ResizeScratch();
   if (engine_) engine_->ResizeScratch();
 }
 
@@ -563,23 +480,27 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
     if (have_incumbent) current = incumbent.value;
   }
   if (!have_incumbent) {
-    current = oracle_->CountFollowers(anchors_, k_);
+    FollowerOracle& oracle = engine_->oracle();
+    current = oracle.CountFollowers(anchors_, k_);
     if (options_.lazy && memo_.enabled()) {
       const uint32_t gen = memo_.Record(kIncumbentKey, {current, true});
       if (gen != TrialMemoStore::kDroppedGen) {
-        RecordTouch(kIncumbentKey, gen, oracle_->LastRegionAnchors(),
-                    oracle_->LastRegionVisited());
+        RecordTouch(kIncumbentKey, gen, oracle.LastRegionAnchors(),
+                    oracle.LastRegionVisited());
       }
     }
   }
 
-  // Step 4: local search (lines 9-16).
-  if (options_.num_threads > 1) {
-    ParallelLocalSearch(pool, current, snap);
-  } else if (options_.lazy) {
+  // Step 4: local search (lines 9-16). Only the serial lazy
+  // kMaintainedFull ablation with a memo keeps the per-slot memoizing
+  // loop; everything else is one trial-engine session.
+  const bool memoize_slots = options_.lazy && options_.num_threads <= 1 &&
+                             mode_ != IncAvtMode::kRestricted &&
+                             memo_.enabled();
+  if (memoize_slots) {
     LazyLocalSearch(pool, current, snap);
   } else {
-    EagerLocalSearch(pool, current, snap);
+    LocalSearch(pool, current, snap);
   }
 
   snap.anchors = anchors_;

@@ -22,29 +22,32 @@
 //
 // Lazy mode (default) accelerates step 4 without changing its output:
 //
-//   * Each trial's full follower query is gated by the oracle's
-//     certified UpperBound (phase-1-only cascade). A slot's max-heap of
-//     bounds is popped lazily; if the top bound cannot strictly beat the
-//     incumbent follower count, the whole slot is settled with zero full
-//     queries — the common steady-state outcome.
-//   * Every evaluation (bound or full) records its dependency region:
-//     the trial anchors plus all vertices popped by the forward pass. A
-//     query's result is a pure function of the edges incident to that
-//     region and the K-order positions of the region and its neighbors,
-//     so a cached value stays exact while no region vertex is impacted.
-//     ProcessDelta therefore warm-starts from the previous snapshot's
-//     cached values, re-evaluating only entries whose region intersects
-//     the maintainer's impacted set (plus its one-hop neighborhood) —
-//     the "stable vertex values" reuse the paper's incremental thesis
-//     motivates. Which entries can actually survive depends on the
-//     pool: in kRestricted the pool is itself a subset of the
-//     invalidated set, so the reuse that materializes there is the
-//     incumbent F(S) and the bound gating; per-(slot, candidate) values
-//     are memoized only for the wider ablation pools (kMaintainedFull)
-//     where unimpacted candidates recur.
+//   * Step 4 is one TrialEngine session per transition. Every pool
+//     vertex is probed ONCE against the anchors at entry S0: the
+//     oracle's certified marginal bound (phase-1-only cascade) plus the
+//     region the probe read. Each swap slot (base S minus the slot's
+//     anchor) and each extend step (base S) rebuilds only its own base
+//     cascade, re-probes the few candidates whose S0 region meets the
+//     vertices where the two base cascades differ (or their
+//     neighbors), and takes every other bound as the exact
+//     |base| + S0 marginal. A slot's certified bounds are popped
+//     lazily; if the top bound cannot strictly beat the incumbent
+//     follower count, the whole slot is settled with zero full queries
+//     — the common steady-state outcome. See anchor/trial_engine.h.
+//   * The incumbent F(S) is memoized with its dependency region (the
+//     trial anchors plus all vertices its forward pass popped). Its
+//     value is a pure function of the edges incident to that region and
+//     the K-order positions of the region and its neighbors, so it
+//     stays exact while churn leaves the region and its one-hop
+//     neighborhood alone, and ProcessDelta reuses it instead of
+//     recounting. The memoized slot loop of the kMaintainedFull
+//     ablation (LazyLocalSearch) additionally records per-(slot,
+//     candidate) values; in kRestricted the pool is itself a subset of
+//     the invalidated set, so such entries could never hit.
 //
 //   Both accelerations preserve bit-identical anchors versus the eager
-//   loop (enforced by tests/lazy_greedy_test.cc).
+//   loop (enforced by tests/lazy_greedy_test.cc), at every thread count
+//   (tests/parallel_determinism_test.cc).
 //
 // The pool is usually tiny relative to the full Theorem-3 candidate set —
 // that is the entire advantage the paper measures in Figures 4/6/8.
@@ -78,14 +81,14 @@ enum class IncAvtMode {
 
 /// Execution knobs for IncAvtTracker.
 struct IncAvtOptions {
-  /// Lazy local search: certified-bound gating + cross-snapshot region
+  /// Lazy local search: shared certified-bound probes + the incumbent
   /// memo (see file comment). Bit-identical anchors to the eager loop.
   bool lazy = true;
   /// Trial-engine worker count for the slot-trial local search (and the
-  /// first snapshot's greedy solve); <= 1 runs serial. Parallel slot
-  /// trials keep the bound gating but skip the cross-snapshot slot memo
-  /// (worker oracles hold no cross-call state); anchors stay
-  /// bit-identical to the serial loops at every thread count
+  /// first snapshot's greedy solve); <= 1 runs serial. Parallel trials
+  /// skip the kMaintainedFull cross-snapshot slot memo (worker oracles
+  /// hold no cross-call state); anchors and work counters are
+  /// bit-identical to the serial session at every thread count
   /// (tests/parallel_determinism_test.cc).
   uint32_t num_threads = 1;
   /// Cascade-scan backing (enum in core/avt.h). kMaintained (default)
@@ -202,20 +205,15 @@ class IncAvtTracker : public AvtTracker {
   /// Kills every memo entry whose region contains v.
   void InvalidateTouched(VertexId v);
 
-  /// Local search over `pool` (already sorted), replicating the eager
-  /// swap + extend loops with bound gating and the memo. Updates
-  /// anchors_/is_anchor_/current; returns work counters via snap.
+  /// Local search over `pool` (already sorted) as one trial-engine
+  /// session — lazy or eager, at any thread count. Updates anchors_ and
+  /// current; returns work counters via snap.
+  void LocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
+                   AvtSnapshotResult& snap);
+  /// The serial lazy kMaintainedFull + memo ablation: per-slot bound
+  /// heaps whose entries are memoized across snapshots.
   void LazyLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
                        AvtSnapshotResult& snap);
-  void EagerLocalSearch(const std::vector<VertexId>& pool, uint32_t& current,
-                        AvtSnapshotResult& snap);
-  /// num_threads > 1: the same slot loops fanned out over the trial
-  /// engine — per-slot sharded evaluation (bound-gated when lazy),
-  /// deterministic (followers desc, id asc) reduction, identical commits
-  /// to the serial searches. Uses the incumbent memo but not the
-  /// per-(slot, candidate) memo.
-  void ParallelLocalSearch(const std::vector<VertexId>& pool,
-                           uint32_t& current, AvtSnapshotResult& snap);
 
   uint32_t k_;
   uint32_t l_;
@@ -223,16 +221,15 @@ class IncAvtTracker : public AvtTracker {
   IncAvtOptions options_;
   size_t t_ = 0;
   CoreMaintainer maintainer_;
-  std::unique_ptr<FollowerOracle> oracle_;
-  /// Parallel slot-trial evaluator (created when num_threads > 1), bound
-  /// to the maintainer's graph/order plus whichever CSR backing
-  /// options_.csr selects (the per-worker oracles share the maintained
-  /// mirror read-only).
+  /// Slot-trial evaluator bound to the maintainer's graph/order plus
+  /// whichever CSR backing options_.csr selects (the per-worker oracles
+  /// share the maintained mirror read-only). Its worker-0 oracle serves
+  /// the tracker's own serial queries, so threads=1 holds one oracle.
   std::unique_ptr<TrialEngine> engine_;
-  /// kRebuildPerDelta scratch: refilled from the maintained graph at the
-  /// start of every ProcessDelta (caller-owned buffers, so the rebuild
-  /// reuses its high-water allocation). Stable address — the oracle and
-  /// engine bind it once.
+  /// kRebuildPerDelta scratch: filled from the maintained graph in
+  /// ProcessFirst and refilled at the start of every ProcessDelta
+  /// (caller-owned buffers, so the rebuild reuses its high-water
+  /// allocation). Stable address — the engine binds it once.
   CsrView rebuilt_csr_;
   std::vector<VertexId> anchors_;
   /// Per-delta scratch, reused across deltas so ProcessDelta performs no
@@ -241,7 +238,8 @@ class IncAvtTracker : public AvtTracker {
   /// wider layouts on these hot flags). pool_state_ memoizes the
   /// Theorem-3 verdict per vertex within one delta — vertices reachable
   /// from several impacted vertices are filtered once, not per
-  /// appearance. is_anchor_ is read by the local searches.
+  /// appearance. is_anchor_ keeps anchors out of the pool and out of
+  /// LazyLocalSearch's live sets.
   enum : uint8_t { kUnseen = 0, kRejected = 1, kPooled = 2 };
   std::vector<uint8_t> pool_state_;
   std::vector<uint8_t> is_anchor_;

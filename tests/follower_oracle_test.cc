@@ -281,6 +281,77 @@ TEST(FollowerOracle, BaseSurvivesFullQueries) {
   EXPECT_EQ(oracle.MarginalUpperBound(pool[4]), before);
 }
 
+// Pins the read-set identity behind TrialEngine's shared probes: for
+// two bases S0 and B over one graph and K-order, every x whose S0 probe
+// region avoids Δ ∪ N(Δ) (AppendBaseChange) has the same marginal
+// MUB(x) − |base| under both bases.
+TEST(FollowerOracle, MarginalReuseIdentityAcrossBases) {
+  uint64_t compared = 0;
+  uint64_t needed_reprobe = 0;  // region met Δ ∪ N(Δ) and the value moved
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(7900 + seed);
+    Graph g = seed % 2 == 0 ? ChungLuPowerLaw(400, 6.0, 2.2, 60, rng)
+                            : ErdosRenyi(400, 1200, rng);
+    KOrder order;
+    order.Build(g);
+    FollowerOracle at_s0(&g, &order);
+    FollowerOracle at_b(&g, &order);
+    for (uint32_t k : {2u, 3u}) {
+      std::vector<VertexId> pool = CollectAnchorCandidates(g, order, k);
+      if (pool.size() < 12) continue;
+      std::vector<VertexId> s0;
+      for (size_t i = 0; i < pool.size() && s0.size() < 4; i += 3) {
+        s0.push_back(pool[i]);
+      }
+      std::vector<VertexId> minus_one(s0.begin() + 1, s0.end());
+      std::vector<VertexId> swapped = s0;
+      swapped[1] = pool[1];
+      std::vector<VertexId> several{pool[1], pool[4], pool[7], pool[10]};
+      const std::vector<VertexId> empty;
+      struct Pair {
+        const std::vector<VertexId>* s0;
+        const std::vector<VertexId>* b;
+      };
+      for (const Pair& pair : {Pair{&s0, &minus_one}, Pair{&s0, &swapped},
+                               Pair{&empty, &several}}) {
+        at_s0.BuildBase(*pair.s0, k);
+        std::vector<FollowerOracle::BaseState> snapshot;
+        at_s0.SnapshotBase(&snapshot);
+        at_b.BuildBase(*pair.b, k);
+        std::vector<VertexId> change;
+        at_b.AppendBaseChange(snapshot, &change);
+        std::vector<uint8_t> changed(g.NumVertices(), 0);
+        for (VertexId v : change) changed[v] = 1;
+        for (VertexId x = 0; x < g.NumVertices(); ++x) {
+          if (order.CoreOf(x) >= k) continue;
+          if (std::count(pair.s0->begin(), pair.s0->end(), x) ||
+              std::count(pair.b->begin(), pair.b->end(), x)) {
+            continue;
+          }
+          const int64_t m0 =
+              static_cast<int64_t>(at_s0.MarginalUpperBound(x)) -
+              at_s0.BaseCount();
+          bool meets = false;
+          for (VertexId v : at_s0.LastMarginalVisited()) meets |= changed[v];
+          const int64_t mb =
+              static_cast<int64_t>(at_b.MarginalUpperBound(x)) -
+              at_b.BaseCount();
+          if (meets) {
+            needed_reprobe += mb != m0;
+            continue;
+          }
+          ++compared;
+          EXPECT_EQ(mb, m0) << "seed " << seed << " k=" << k << " x=" << x;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+  // The re-probe rule is not vacuous: some regions do see Δ ∪ N(Δ)
+  // move their marginal.
+  EXPECT_GT(needed_reprobe, 0u);
+}
+
 TEST(FollowerOracle, CsrRoutingIsBitIdentical) {
   Rng rng(7700);
   Graph g = ChungLuPowerLaw(200, 6.0, 2.2, 40, rng);

@@ -166,9 +166,10 @@ TEST(ParallelIncAvt, BitIdenticalAcrossThreadCountsAndChurn) {
           EXPECT_EQ(parallel.followers[t], serial.followers[t])
               << "seed " << seed << " lazy=" << lazy << " threads="
               << threads << " t=" << t;
-          // kRestricted never memoizes slots, so both dispatches run
-          // the same gated bound/resolve sequence: the counters match
-          // the serial loop exactly at every thread count.
+          // Serial and parallel run the same trial-engine session:
+          // probes against the entry anchors, per-slot re-probes and
+          // full queries are pure functions of the pool and the slot
+          // bases, so the counters match exactly at every thread count.
           EXPECT_EQ(parallel.candidates[t], serial.candidates[t])
               << "seed " << seed << " lazy=" << lazy << " threads="
               << threads << " t=" << t;
