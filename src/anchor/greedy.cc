@@ -18,19 +18,17 @@ SolverResult GreedySolver::Solve(const Graph& graph, uint32_t k,
   KOrder order;
   order.Build(csr_);
   TrialEngine engine(&graph, &order, &csr_, options_.num_threads);
-  return Solve(graph, order, engine, k, l);
+  const std::vector<VertexId> pool =
+      options_.prune_candidates ? CollectAnchorCandidates(csr_, order, k)
+                                : CollectUnprunedCandidates(csr_, order, k);
+  return Solve(engine, k, l, pool);
 }
 
-SolverResult GreedySolver::Solve(const Graph& graph, const KOrder& order,
-                                 TrialEngine& engine, uint32_t k,
-                                 uint32_t l) {
+SolverResult GreedySolver::Solve(TrialEngine& engine, uint32_t k, uint32_t l,
+                                 std::span<const VertexId> pool) {
   SolverResult result;
   if (k == 0 || l == 0) return result;
   const uint64_t visited_before = engine.CascadeVisited();
-
-  std::vector<VertexId> pool = options_.prune_candidates
-                                   ? CollectAnchorCandidates(graph, order, k)
-                                   : CollectUnprunedCandidates(graph, order, k);
 
   // Algorithm 2: l picks, each taking the candidate with the most
   // followers given the anchors already chosen — one trial-engine

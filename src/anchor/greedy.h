@@ -43,7 +43,8 @@
 //
 // The graph-only Solve snapshots the graph into a CsrView once per solve
 // and routes the K-order build plus all cascade scans through contiguous
-// spans; the prebuilt-view overload reuses the caller's structures.
+// spans; the prebuilt-engine overload reuses the caller's structures and
+// candidate pool.
 
 #ifndef AVT_ANCHOR_GREEDY_H_
 #define AVT_ANCHOR_GREEDY_H_
@@ -76,13 +77,16 @@ class GreedySolver : public AnchorSolver {
 
   SolverResult Solve(const Graph& graph, uint32_t k, uint32_t l) override;
 
-  /// The same solve on a prebuilt view: `order` is the K-order of
-  /// `graph` and `engine` is bound to both (any adjacency backing). No
-  /// adjacency snapshot, K-order or oracle is built; the engine's worker
-  /// count replaces options' num_threads. IncAvtTracker's first solve
-  /// runs on its maintainer's structures and its own engine this way.
-  SolverResult Solve(const Graph& graph, const KOrder& order,
-                     TrialEngine& engine, uint32_t k, uint32_t l);
+  /// The same solve on a prebuilt engine over a caller-built candidate
+  /// pool: `engine` is bound to a graph and its K-order (any adjacency
+  /// backing) and `pool` is ascending — normally CollectAnchorCandidates
+  /// over the same graph and order. No adjacency snapshot, K-order or
+  /// oracle is built; the engine's worker count replaces options'
+  /// num_threads and `pool` replaces prune_candidates. IncAvtTracker's
+  /// first solve runs on its maintainer's structures and its own engine
+  /// this way, and seeds its candidate index from the same pool.
+  SolverResult Solve(TrialEngine& engine, uint32_t k, uint32_t l,
+                     std::span<const VertexId> pool);
 
   std::string name() const override {
     if (!options_.prune_candidates) return "Greedy-nopruning";

@@ -45,40 +45,75 @@ uint32_t IncAvtTracker::KCoreSize() const {
 void IncAvtTracker::RecordTouch(uint64_t key, uint32_t gen,
                                 std::span<const VertexId> region_a,
                                 std::span<const VertexId> region_b) {
-  for (VertexId r : region_a) PushTouch(touch_index_[r], {key, gen});
-  for (VertexId r : region_b) PushTouch(touch_index_[r], {key, gen});
+  const Graph& g = maintainer_.graph();
+  for (std::span<const VertexId> region : {region_a, region_b}) {
+    for (VertexId r : region) {
+      PushTouch(touch_index_[r], key, gen);
+      for (VertexId w : g.Neighbors(r)) PushTouch(touch_index_[w], key, gen);
+    }
+  }
 }
 
-void IncAvtTracker::PushTouch(TouchList& list, TouchRef ref) {
-  list.refs.push_back(ref);
+void IncAvtTracker::PushTouch(TouchList& list, uint64_t key, uint32_t gen) {
+  // Every push directly follows the Record that returned `gen`, so an
+  // older reference to the same key is stale — and the same reference
+  // again is a repeat (one RecordTouch reaches a vertex once per region
+  // neighbour, with nothing in between).
+  if (list.head != kNilNode && touch_nodes_[list.head].key == key) {
+    touch_nodes_[list.head].gen = gen;
+    return;
+  }
+  uint32_t node = touch_free_;
+  if (node != kNilNode) {
+    touch_free_ = touch_nodes_[node].next;
+    touch_nodes_[node] = {key, gen, list.head};
+  } else {
+    node = static_cast<uint32_t>(touch_nodes_.size());
+    touch_nodes_.push_back({key, gen, list.head});
+  }
+  list.head = node;
   ++touch_total_;
-  if (list.refs.size() >= list.compact_at) CompactTouchList(list);
+  if (--list.pushes_left == 0) CompactTouchList(list);
+}
+
+void IncAvtTracker::ReleaseTouchNode(uint32_t node) {
+  touch_nodes_[node].next = touch_free_;
+  touch_free_ = node;
+  --touch_total_;
 }
 
 void IncAvtTracker::CompactTouchList(TouchList& list) {
-  size_t kept = 0;
-  for (const TouchRef& ref : list.refs) {
-    if (memo_.IsLive(ref.key, ref.gen)) list.refs[kept++] = ref;
+  uint32_t kept = 0;
+  for (uint32_t* link = &list.head; *link != kNilNode;) {
+    const uint32_t node = *link;
+    if (memo_.IsLive(touch_nodes_[node].key, touch_nodes_[node].gen)) {
+      ++kept;
+      link = &touch_nodes_[node].next;
+      continue;
+    }
+    *link = touch_nodes_[node].next;
+    ReleaseTouchNode(node);
   }
-  touch_total_ -= list.refs.size() - kept;
-  list.refs.resize(kept);
   // Next sweep only once the list doubles from here: amortized O(1).
-  list.compact_at = static_cast<uint32_t>(
-      std::max<size_t>(kTouchCompactMin, 2 * kept));
+  list.pushes_left = std::max(kTouchCompactMin, 2 * kept) - kept;
 }
 
 void IncAvtTracker::ClearTouchList(TouchList& list) {
-  touch_total_ -= list.refs.size();
-  list.refs.clear();
-  list.compact_at = kTouchCompactMin;
+  while (list.head != kNilNode) {
+    const uint32_t node = list.head;
+    list.head = touch_nodes_[node].next;
+    ReleaseTouchNode(node);
+  }
+  list.pushes_left = kTouchCompactMin;
 }
 
-void IncAvtTracker::InvalidateTouched(VertexId v) {
-  TouchList& list = touch_index_[v];
-  if (list.refs.empty()) return;
+void IncAvtTracker::EraseAndClear(TouchList& list) {
   // EraseRef skips references whose entry was meanwhile overwritten
   // (its region was re-recorded under a newer generation) or evicted.
-  for (const TouchRef& ref : list.refs) memo_.EraseRef(ref.key, ref.gen);
+  for (uint32_t node = list.head; node != kNilNode;
+       node = touch_nodes_[node].next) {
+    memo_.EraseRef(touch_nodes_[node].key, touch_nodes_[node].gen);
+  }
   ClearTouchList(list);
 }
 
@@ -108,12 +143,17 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
                                           options_.num_threads,
                                           maintainer_.csr());
   // The first solve runs on the maintainer's graph and K-order and this
-  // tracker's engine: no second adjacency, K-order or oracle set.
+  // tracker's engine: no second adjacency, K-order or oracle set. Its
+  // Theorem-3 scan also seeds the candidate index.
+  const std::vector<VertexId> first_pool = CollectAnchorCandidates(
+      maintainer_.graph(), maintainer_.order(), k_);
+  if (mode_ != IncAvtMode::kCarryForward) {
+    candidates_.Seed(maintainer_.graph(), k_, first_pool);
+  }
   GreedyOptions greedy_options;
   greedy_options.lazy = options_.lazy;
   GreedySolver greedy(greedy_options);
-  SolverResult first = greedy.Solve(maintainer_.graph(), maintainer_.order(),
-                                    *engine_, k_, l_);
+  SolverResult first = greedy.Solve(*engine_, k_, l_, first_pool);
   anchors_ = first.anchors;
 
   // Reset the cross-snapshot memo under the configured retention
@@ -127,8 +167,10 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   touch_index_.assign(g0.NumVertices(), {});
   touch_total_ = 0;
   slot_bound_keys_.assign(num_slots, {});
-  pool_state_.assign(g0.NumVertices(), kUnseen);
-  is_anchor_.assign(g0.NumVertices(), 0);
+  touch_nodes_.clear();
+  touch_free_ = kNilNode;
+  flags_.assign(g0.NumVertices(), 0);
+  for (VertexId a : anchors_) flags_[a] = kAnchor;
   pool_.clear();
 
   snap.anchors = anchors_;
@@ -182,9 +224,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       // it dies too. Stale references — bounds since re-recorded under
       // a newer generation, or upgraded to exact entries that carry
       // their own full region — are skipped, not erased.
-      TouchList& bounds = slot_bound_keys_[slot];
-      for (const TouchRef& ref : bounds.refs) memo_.EraseRef(ref.key, ref.gen);
-      ClearTouchList(bounds);
+      EraseAndClear(slot_bound_keys_[slot]);
       oracle.BuildBase(trial_base, k_);
       const uint32_t gen = memo_.Record(base_key, {0, true});
       if (gen != TrialMemoStore::kDroppedGen) {
@@ -210,7 +250,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
       const uint32_t gen = memo_.Record(key, {ub, false});
       if (gen != TrialMemoStore::kDroppedGen) {
         RecordTouch(key, gen, oracle.LastMarginalVisited(), {});
-        PushTouch(slot_bound_keys_[slot], {key, gen});
+        PushTouch(slot_bound_keys_[slot], key, gen);
       }
     }
     return ub;
@@ -279,7 +319,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     heap = std::priority_queue<LazyEntry>();
     base_ready = false;
     for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
+      if (flags_[v] & kAnchor) continue;
       LazyEntry cached;
       if (memo_hit(i, v, &cached)) {
         heap.push(cached);
@@ -290,8 +330,8 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     LazyEntry winner =
         resolve_top(i, base, /*stop_at_current=*/true, /*record=*/true);
     if (winner.vertex == kNoVertex) continue;  // slot settled, no commit
-    is_anchor_[anchors_[i]] = 0;
-    is_anchor_[winner.vertex] = 1;
+    flags_[anchors_[i]] &= static_cast<uint8_t>(~kAnchor);
+    flags_[winner.vertex] |= kAnchor;
     anchors_[i] = winner.vertex;
     commit(winner);
   }
@@ -305,7 +345,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
     base_ready = false;
     bool any = false;
     for (VertexId v : pool) {
-      if (is_anchor_[v]) continue;
+      if (flags_[v] & kAnchor) continue;
       LazyEntry cached;
       if (memo_hit(slot, v, &cached)) {
         heap.push(cached);
@@ -319,7 +359,7 @@ void IncAvtTracker::LazyLocalSearch(const std::vector<VertexId>& pool,
                                    /*record=*/false);
     if (winner.vertex == kNoVertex) break;
     anchors_.push_back(winner.vertex);
-    is_anchor_[winner.vertex] = 1;
+    flags_[winner.vertex] |= kAnchor;
     commit(winner);
   }
 }
@@ -353,11 +393,15 @@ void IncAvtTracker::LocalSearch(const std::vector<VertexId>& pool,
     base.erase(base.begin() + static_cast<ptrdiff_t>(i));
     TrialOutcome outcome =
         engine_->Pick(base, TrialPolicy{.gate = true, .floor = current});
-    if (commit(outcome)) anchors_[i] = outcome.vertex;
+    if (!commit(outcome)) continue;
+    flags_[anchors_[i]] &= static_cast<uint8_t>(~kAnchor);
+    flags_[outcome.vertex] |= kAnchor;
+    anchors_[i] = outcome.vertex;
   }
   while (anchors_.size() < l_) {
     TrialOutcome outcome = engine_->Pick(anchors_, TrialPolicy{});
     if (!commit(outcome)) break;
+    flags_[outcome.vertex] |= kAnchor;
     anchors_.push_back(outcome.vertex);
   }
 }
@@ -366,8 +410,8 @@ void IncAvtTracker::EnsureVertices(VertexId count) {
   if (count <= maintainer_.graph().NumVertices()) return;
   maintainer_.EnsureVertices(count);
   const size_t n = maintainer_.graph().NumVertices();
-  pool_state_.resize(n, kUnseen);
-  is_anchor_.resize(n, 0);
+  if (mode_ != IncAvtMode::kCarryForward) candidates_.EnsureVertices(count);
+  flags_.resize(n, 0);
   touch_index_.resize(n);
   if (engine_) engine_->ResizeScratch();
 }
@@ -378,8 +422,12 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
   snap.t = ++t_;
 
   // Step 1: bounded K-order maintenance; collect impacted vertices
-  // (union of the paper's VI and VR before the core-number filter).
+  // (union of the paper's VI and VR before the core-number filter), and
+  // bring the candidate index up to date from the maintainer's report.
   std::vector<VertexId> impacted = maintainer_.ApplyDelta(delta);
+  if (mode_ != IncAvtMode::kCarryForward) {
+    candidates_.Update(maintainer_, delta, impacted);
+  }
 
   const Graph& g = maintainer_.graph();
   const KOrder& order = maintainer_.order();
@@ -391,82 +439,62 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
     g.BuildCsr(&rebuilt_csr_);
   }
 
-  // Every adjacency walk below (invalidation neighborhoods, the
-  // Theorem-3 pool filter) runs against the same backing the oracle
-  // scans: the maintained mirror, the per-delta rebuilt view, or the
-  // dynamic adjacency. All three iterate neighbors identically, so the
-  // pool — and therefore every downstream tie-break — is bit-identical
-  // across modes.
-  auto with_adjacency = [&](auto&& body) {
-    if (maintainer_.csr() != nullptr) {
-      body(*maintainer_.csr());
-    } else if (options_.csr == IncAvtCsrMode::kRebuildPerDelta) {
-      body(rebuilt_csr_);
-    } else {
-      body(g);
-    }
-  };
-
   // Warm-start invalidation: kill exactly the memo entries whose
   // dependency region the churn touched. A cached evaluation stays
   // exact iff its region avoids every impacted vertex and its one-hop
   // neighborhood — the query reads edges incident to the region and
   // positions of the region + its neighbors, and the maintainer marks
   // every cascade-touched vertex and both endpoints of every changed
-  // edge, so impacted ∪ N(impacted) covers all state changes. The
-  // periodic full reset bounds dead key references in the index.
+  // edge, so impacted ∪ N(impacted) covers all state changes. Entries
+  // are registered at region ∪ N(region) (RecordTouch), so the impacted
+  // vertices' own lists name them all. The periodic full reset bounds
+  // dead key references in the index.
   if (options_.lazy && memo_.enabled()) {
     if (touch_total_ > kTouchCompactionLimit) {
       memo_.Clear();
-      for (TouchList& list : touch_index_) ClearTouchList(list);
-      for (TouchList& list : slot_bound_keys_) ClearTouchList(list);
+      touch_index_.assign(touch_index_.size(), {});
+      slot_bound_keys_.assign(slot_bound_keys_.size(), {});
+      touch_nodes_.clear();
+      touch_free_ = kNilNode;
       touch_total_ = 0;
     }
-    with_adjacency([&](const auto& adj) {
-      for (VertexId v : impacted) {
-        InvalidateTouched(v);
-        for (VertexId w : adj.Neighbors(v)) InvalidateTouched(w);
-      }
-    });
+    for (VertexId v : impacted) EraseAndClear(touch_index_[v]);
   }
 
   // Step 3: replacement pool. The published algorithm (kRestricted)
   // takes impacted vertices and their neighbors, outside C_k, passing
-  // Theorem 3 (Algorithm 6 line 12); the ablation modes widen or empty
-  // the pool to isolate the restriction's contribution. Sorted by id so
-  // the scan order (and thus tie-breaks) is deterministic. Scratch is
-  // reused (no n-sized allocation), and pool_state_ memoizes each
-  // vertex's Theorem-3 verdict for the delta: a vertex adjacent to many
-  // impacted vertices is filtered exactly once.
-  pool_state_.assign(pool_state_.size(), kUnseen);
-  is_anchor_.assign(is_anchor_.size(), 0);
-  for (VertexId a : anchors_) is_anchor_[a] = 1;
+  // Theorem 3 (Algorithm 6 line 12) — read off the candidate index; the
+  // ablation modes widen the pool to every candidate or empty it, to
+  // isolate the restriction's contribution. Anchors never enter it.
+  // Sorted by id so the scan order (and thus tie-breaks) is
+  // deterministic.
   pool_.clear();
-  with_adjacency([&](const auto& adj) {
-    auto consider = [&](VertexId v) {
-      if (pool_state_[v] != kUnseen || is_anchor_[v]) return;
-      pool_state_[v] = kRejected;
-      if (order.CoreOf(v) >= k_) return;
-      if (!IsAnchorCandidate(adj, order, v, k_)) return;
-      pool_state_[v] = kPooled;
-      pool_.push_back(v);
-    };
-    switch (mode_) {
-      case IncAvtMode::kRestricted:
-        for (VertexId v : impacted) {
-          consider(v);
-          for (VertexId w : adj.Neighbors(v)) consider(w);
-        }
-        break;
-      case IncAvtMode::kMaintainedFull:
-        for (VertexId v = 0; v < g.NumVertices(); ++v) consider(v);
-        break;
-      case IncAvtMode::kCarryForward:
-        break;  // no replacements; keep S_{t-1}
+  switch (mode_) {
+    case IncAvtMode::kRestricted: {
+      auto take = [this](VertexId w) {
+        if (flags_[w] != 0) return;  // an anchor, or already pooled
+        flags_[w] = kPooled;
+        pool_.push_back(w);
+      };
+      for (VertexId v : impacted) {
+        if (candidates_.IsCandidate(v)) take(v);
+        candidates_.ForEachCandidateNeighbor(v, take);
+      }
+      for (VertexId v : pool_) flags_[v] = 0;
+      std::sort(pool_.begin(), pool_.end());
+      break;
     }
-  });
+    case IncAvtMode::kMaintainedFull:
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        if (candidates_.IsCandidate(v) && !(flags_[v] & kAnchor)) {
+          pool_.push_back(v);
+        }
+      }
+      break;
+    case IncAvtMode::kCarryForward:
+      break;  // no replacements; keep S_{t-1}
+  }
   std::vector<VertexId>& pool = pool_;
-  std::sort(pool.begin(), pool.end());
 
   // Step 2: seed with S_{t-1}; re-establish the incumbent follower count
   // F(S) on the new snapshot. In lazy mode the previous snapshot's value

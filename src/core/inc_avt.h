@@ -4,17 +4,23 @@
 //   * CoreMaintainer — graph + K-order kept consistent by the bounded
 //     maintenance of Algorithms 4/5 (no per-snapshot rebuild);
 //   * the previous anchor set S_{t-1};
+//   * a Theorem-3 candidate index (anchor/candidate_index.h): every
+//     vertex's verdict plus, per vertex, its candidate neighbours;
 //   * (lazy mode) a memo of trial evaluations with their dependency
 //     regions, reused across snapshots until churn touches them.
 //
 // Per transition:
 //   1. Apply E+ / E- through the maintainer, collecting the impacted
-//     vertex set (the union of the paper's VI and VR).
+//     vertex set I (the union of the paper's VI and VR); its report of
+//     the applied edge operations and moved vertices brings the
+//     candidate index up to date without rescanning the graph.
 //   2. Seed S_t := S_{t-1}.
 //   3. Build the replacement pool: impacted vertices and their neighbors,
 //      outside C_k(G_t), passing the Theorem-3 filter (Algorithm 6 line
-//      12). The pool is sorted by id so tie-breaks are deterministic and
-//      independent of cascade traversal order.
+//      12) — read off the candidate index as ⋃_{v∈I} ({v} ∪ N(v)) ∩ Cand
+//      minus the anchors, in O(|I| + Σ_{v∈I} |N(v) ∩ Cand|). The pool is
+//      sorted by id so tie-breaks are deterministic and independent of
+//      cascade traversal order.
 //   4. Local search: for each u in S_t, try every pool vertex v as a
 //      replacement; commit the swap whenever it strictly increases the
 //      follower count (lines 9-16). Follower counts come from the
@@ -40,10 +46,15 @@
 //     the K-order positions of the region and its neighbors, so it
 //     stays exact while churn leaves the region and its one-hop
 //     neighborhood alone, and ProcessDelta reuses it instead of
-//     recounting. The memoized slot loop of the kMaintainedFull
-//     ablation (LazyLocalSearch) additionally records per-(slot,
-//     candidate) values; in kRestricted the pool is itself a subset of
-//     the invalidated set, so such entries could never hit.
+//     recounting. Each entry is registered at region ∪ N(region) when
+//     recorded, and ProcessDelta kills the entries registered at I:
+//     by symmetry of adjacency that is exactly "region meets
+//     I ∪ N(I)", and a region whose own edges changed lost its entry
+//     at that very delta (its endpoint is in I), so the registration-
+//     time neighbourhood is still current. The memoized slot loop of
+//     the kMaintainedFull ablation (LazyLocalSearch) additionally
+//     records per-(slot, candidate) values; in kRestricted the pool is
+//     itself a subset of I ∪ N(I), so such entries could never hit.
 //
 //   Both accelerations preserve bit-identical anchors versus the eager
 //   loop (enforced by tests/lazy_greedy_test.cc), at every thread count
@@ -57,6 +68,7 @@
 
 #include <vector>
 
+#include "anchor/candidate_index.h"
 #include "anchor/follower_oracle.h"
 #include "anchor/trial_engine.h"
 #include "core/avt.h"
@@ -103,8 +115,8 @@ struct IncAvtOptions {
   /// Delta-transaction width the tracker requests from the driving
   /// engine (AvtEngine honors it via AvtTracker::PreferredBatchSize).
   /// With N > 1 the engine merges N consecutive source deltas into one
-  /// canonical net-effect transaction, so the tracker pays ONE
-  /// invalidation walk, ONE impacted-region candidate-pool build, and
+  /// canonical net-effect transaction, so the tracker pays ONE memo
+  /// invalidation pass, ONE candidate-index update and pool read, and
   /// ONE local search per N deltas — and observes exactly every N-th
   /// snapshot of the stream, with state bit-identical to what the
   /// per-delta replay reaches at those boundaries (DeltaBatcher's
@@ -153,6 +165,8 @@ class IncAvtTracker : public AvtTracker {
 
   const CoreMaintainer& maintainer() const { return maintainer_; }
   const std::vector<VertexId>& current_anchors() const { return anchors_; }
+  /// The replacement pool the last ProcessDelta searched (ascending).
+  const std::vector<VertexId>& last_pool() const { return pool_; }
 
   /// The maintained graph + K-order index: exactly the redundant state
   /// integrity audits cross-check against a fresh decomposition.
@@ -168,42 +182,55 @@ class IncAvtTracker : public AvtTracker {
   /// stamps every Record, so a reference whose entry was overwritten,
   /// evicted, or cleared elsewhere is recognizably stale — skipped by
   /// the invalidation walk and dropped by compaction instead of
-  /// accumulating forever (the PR-8 stale-key fix).
-  struct TouchRef {
+  /// accumulating forever. Stored as a node of a singly linked list in
+  /// the shared touch_nodes_ pool.
+  struct TouchNode {
     uint64_t key;
     uint32_t gen;
+    uint32_t next;  // next node of the list, or kNilNode
   };
 
-  /// One touch/bound list plus its compaction trigger. A list compacts
-  /// (drops stale references) when it reaches `compact_at`, which then
-  /// moves to twice the survivor count — so every O(n) sweep is paid
-  /// for by at least n/2 preceding appends, amortized O(1).
+  /// One touch/bound list: its head node plus its compaction trigger. A
+  /// list compacts (drops stale references) when it reaches
+  /// max(kTouchCompactMin, twice the survivors of its last compaction)
+  /// references — so every O(n) sweep is paid for by at least n/2
+  /// preceding pushes, amortized O(1). `pushes_left` counts down to it.
+  /// Eight bytes per vertex and no allocation of its own: all lists
+  /// share one node pool, so the index never scatters small blocks over
+  /// the heap.
   struct TouchList {
-    std::vector<TouchRef> refs;
-    uint32_t compact_at = kTouchCompactMin;
+    uint32_t head = kNilNode;
+    uint32_t pushes_left = kTouchCompactMin;
   };
 
   /// |C_k| of the maintained graph (anchors excluded by construction:
   /// anchors are tracked outside the k-core).
   uint32_t KCoreSize() const;
 
-  /// Registers (key, gen) as dependent on every vertex of the given
-  /// region spans (a query's anchors + forward-pass pops).
+  /// Registers (key, gen) at every vertex of the given region spans (a
+  /// query's anchors + forward-pass pops) and at their neighbours, so
+  /// ProcessDelta needs to invalidate at the impacted vertices only.
   void RecordTouch(uint64_t key, uint32_t gen,
                    std::span<const VertexId> region_a,
                    std::span<const VertexId> region_b);
 
-  /// Appends to a touch/bound list, compacting stale references when
+  /// Pushes (key, gen) onto a touch/bound list — or, when the list's
+  /// latest reference has the same key, replaces it (the same entry, or
+  /// one the new Record superseded) — compacting stale references when
   /// the list hits its trigger.
-  void PushTouch(TouchList& list, TouchRef ref);
+  void PushTouch(TouchList& list, uint64_t key, uint32_t gen);
+  /// Returns an unlinked node to the free chain; keeps touch_total_ in
+  /// step.
+  void ReleaseTouchNode(uint32_t node);
   /// Drops references whose memo entries are gone or superseded.
   void CompactTouchList(TouchList& list);
   /// Empties a list (references only — entries stay) and resets its
   /// trigger; keeps touch_total_ in step.
   void ClearTouchList(TouchList& list);
 
-  /// Kills every memo entry whose region contains v.
-  void InvalidateTouched(VertexId v);
+  /// Kills every memo entry a list references (stale references are
+  /// skipped), then empties the list.
+  void EraseAndClear(TouchList& list);
 
   /// Local search over `pool` (already sorted) as one trial-engine
   /// session — lazy or eager, at any thread count. Updates anchors_ and
@@ -232,17 +259,17 @@ class IncAvtTracker : public AvtTracker {
   /// allocation). Stable address — the engine binds it once.
   CsrView rebuilt_csr_;
   std::vector<VertexId> anchors_;
-  /// Per-delta scratch, reused across deltas so ProcessDelta performs no
-  /// n-sized allocation in steady state (assign() reuses capacity; the
-  /// 1-byte-per-vertex memset is far cheaper than the cache misses of
-  /// wider layouts on these hot flags). pool_state_ memoizes the
-  /// Theorem-3 verdict per vertex within one delta — vertices reachable
-  /// from several impacted vertices are filtered once, not per
-  /// appearance. is_anchor_ keeps anchors out of the pool and out of
-  /// LazyLocalSearch's live sets.
-  enum : uint8_t { kUnseen = 0, kRejected = 1, kPooled = 2 };
-  std::vector<uint8_t> pool_state_;
-  std::vector<uint8_t> is_anchor_;
+  /// Theorem-3 verdicts and candidate-neighbour lists, updated from each
+  /// ApplyDelta's report (unused by kCarryForward, which has no pool).
+  CandidateIndex candidates_;
+  /// Per-vertex flag bytes. kAnchor marks S_t and is kept in step at
+  /// every commit; it keeps anchors out of the pool and out of
+  /// LazyLocalSearch's live sets. kPooled is the pool build's dedupe
+  /// mark (a vertex next to several impacted vertices is pooled once)
+  /// and is cleared again before the search, so no per-delta O(n) reset
+  /// is needed.
+  enum : uint8_t { kAnchor = 1, kPooled = 2 };
+  std::vector<uint8_t> flags_;
   std::vector<VertexId> pool_;
 
   // --- lazy-mode state ---------------------------------------------
@@ -258,8 +285,8 @@ class IncAvtTracker : public AvtTracker {
   /// Per-transition deltas for AvtSnapshotResult's memo counters.
   TrialMemoStore::Stats last_memo_stats_;
   /// Inverted dependency index: touch_index_[v] lists the memo entries
-  /// whose evaluation read v's state. ProcessDelta erases exactly those
-  /// entries for each impacted vertex and its one-hop neighborhood;
+  /// whose region contains v or a neighbour of v. ProcessDelta erases
+  /// exactly those entries for each impacted vertex;
   /// stale references are skipped via their generation stamp and
   /// dropped by per-list compaction. touch_total_ (references currently
   /// held across ALL lists) still triggers a periodic full reset as the
@@ -269,10 +296,15 @@ class IncAvtTracker : public AvtTracker {
   /// slot_bound_keys_[slot] — references to bounds probed against the
   /// slot's current base cascade; erased together with the base.
   std::vector<TouchList> slot_bound_keys_;
+  /// Node pool shared by every touch/bound list; freed nodes chain
+  /// from touch_free_ and are reused first.
+  std::vector<TouchNode> touch_nodes_;
+  uint32_t touch_free_ = kNilNode;
 
   static constexpr uint64_t kIncumbentKey = TrialMemoStore::kIncumbentKey;
   static constexpr uint64_t kBaseKeyBase = TrialMemoStore::kBaseKeyBase;
   static constexpr uint32_t kTouchCompactMin = 64;
+  static constexpr uint32_t kNilNode = static_cast<uint32_t>(-1);
 };
 
 }  // namespace avt

@@ -9,6 +9,7 @@ void CoreMaintainer::Reset(const Graph& graph) {
   graph_ = graph;
   order_.Build(graph_);
   stats_.Reset();
+  last_applied_.clear();
   if (csr_enabled_) csr_.Rebuild(graph_);
   const size_t n = graph_.NumVertices();
   deg_minus_.Resize(n);
@@ -55,9 +56,15 @@ void CoreMaintainer::SetCsrMirror(bool enabled) {
 void CoreMaintainer::MarkAffected(VertexId v) {
   if (!collecting_affected_) return;
   if (!affected_mark_.Get(v)) {
-    affected_mark_.Set(v, 1);
+    affected_mark_.Set(v, kAffectedBit);
     affected_list_.push_back(v);
   }
+}
+
+void CoreMaintainer::MarkMoved(VertexId v) {
+  if (!collecting_affected_) return;
+  if (affected_mark_.Get(v) > kAffectedBit) return;  // moved before
+  affected_mark_.Set(v, kAffectedBit | ((order_.CoreOf(v) + 1) << 1));
 }
 
 bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
@@ -165,12 +172,14 @@ void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
     if (!eliminated_.Get(w)) promoted.push_back(w);
   }
   for (auto it = promoted.rbegin(); it != promoted.rend(); ++it) {
+    MarkMoved(*it);
     order_.MoveToLevelFront(*it, level + 1);
     ++stats_.promotions;
   }
   // Failed candidates move to the back of their level in elimination
   // order (restores deg+ <= core; see class comment).
   for (VertexId w : eliminated_in_order) {
+    MarkMoved(w);
     order_.MoveToLevelBack(w, level);
   }
 
@@ -270,6 +279,7 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
   // Dropped vertices join the back of level-1 in drop order (valid: at
   // drop time each had < level supporters counting later-dropped ones).
   for (VertexId w : dropped_in_order) {
+    MarkMoved(w);
     order_.MoveToLevelBack(w, level - 1);
     ++stats_.demotions;
   }
@@ -290,9 +300,14 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
 std::vector<VertexId> CoreMaintainer::ApplyDelta(const EdgeDelta& delta) {
   affected_mark_.Clear();
   affected_list_.clear();
+  last_applied_.clear();
   collecting_affected_ = true;
-  for (const Edge& e : delta.insertions) InsertEdge(e.u, e.v);
-  for (const Edge& e : delta.deletions) RemoveEdge(e.u, e.v);
+  for (const Edge& e : delta.insertions) {
+    last_applied_.push_back(InsertEdge(e.u, e.v));
+  }
+  for (const Edge& e : delta.deletions) {
+    last_applied_.push_back(RemoveEdge(e.u, e.v));
+  }
   collecting_affected_ = false;
   return std::move(affected_list_);
 }

@@ -102,8 +102,29 @@ class CoreMaintainer {
   /// Applies a whole delta (insertions then deletions, matching the
   /// paper's G'_t = G_{t-1} (+) E+ followed by E-). Returns the set of
   /// vertices touched by any cascade (deduplicated): the union the paper
-  /// calls VI and VR before filtering by core number.
+  /// calls VI and VR before filtering by core number. The two reports
+  /// below describe what the call changed, until the next ApplyDelta.
   std::vector<VertexId> ApplyDelta(const EdgeDelta& delta);
+
+  /// One flag per operation of the last ApplyDelta's delta, in the order
+  /// it applied them — the insertions, then the deletions: true iff the
+  /// operation changed the graph (a duplicate insertion, an absent
+  /// removal or a self-loop did not). The flagged operations, in this
+  /// order, are the applied sequence; callers that keep indexes derived
+  /// from the graph replay them instead of rescanning adjacency.
+  const std::vector<bool>& last_applied() const { return last_applied_; }
+
+  /// kNotMoved, or — for a vertex the last ApplyDelta moved in the
+  /// K-order (promoted, demoted, or repositioned within its level) — its
+  /// core number before that delta. Every moved vertex is in the
+  /// returned impacted set; a vertex not moved kept its core and its
+  /// order relative to every other unmoved vertex (level relabels
+  /// preserve order).
+  uint32_t CoreBeforeMove(VertexId v) const {
+    const uint32_t mark = affected_mark_.Get(v);
+    return mark > kAffectedBit ? (mark >> 1) - 1 : kNotMoved;
+  }
+  static constexpr uint32_t kNotMoved = static_cast<uint32_t>(-1);
 
   const MaintenanceStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
@@ -128,6 +149,9 @@ class CoreMaintainer {
   void RunRemoveCascade(const Adjacency& adj,
                         const std::vector<VertexId>& seeds, uint32_t level);
   void MarkAffected(VertexId v);
+  /// Records v's pre-delta core on its first move of the delta; call
+  /// before moving it, while CoreOf(v) still is that core.
+  void MarkMoved(VertexId v);
 
   Graph graph_;
   KOrder order_;
@@ -144,9 +168,13 @@ class CoreMaintainer {
   EpochArray<uint32_t> cd_;         // current-core degree (deletions)
   EpochArray<uint8_t> dropped_;
 
-  // Batch-level affected set (valid during ApplyDelta).
-  EpochArray<uint8_t> affected_mark_;
+  // Batch-level affected set, kept after ApplyDelta for the reports. A
+  // mark is kAffectedBit, plus (core before the delta + 1) << 1 once
+  // the vertex moved: the same 8-byte slot a 1-byte mark occupies.
+  static constexpr uint32_t kAffectedBit = 1;
+  EpochArray<uint32_t> affected_mark_;
   std::vector<VertexId> affected_list_;
+  std::vector<bool> last_applied_;
   bool collecting_affected_ = false;
 };
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "corelib/invariants.h"
 #include "gen/models.h"
 #include "util/random.h"
@@ -258,6 +260,112 @@ TEST(MaintainerBatch, ApplyDeltaMatchesRebuild) {
       }
     }
   }
+}
+
+TEST(MaintainerBatch, ReportsExactlyTheAppliedOpsInOrder) {
+  Graph g(8);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 3);
+  CoreMaintainer m;
+  m.Reset(g);
+  EdgeDelta delta;
+  delta.insertions = {Edge(0, 1), Edge(1, 0), Edge(2, 2), Edge(1, 2),
+                      Edge(3, 4)};
+  delta.deletions = {Edge(5, 6), Edge(0, 1), Edge(2, 1), Edge(3, 3),
+                     Edge(0, 1)};
+  m.ApplyDelta(EdgeDelta{{Edge(6, 7)}, {}});  // an earlier report
+  m.ApplyDelta(delta);
+  // Applied: insert (0,1), insert (3,4), remove (0,1), remove (1,2).
+  const std::vector<bool> applied = {true,  false, false, false, true,
+                                     false, true,  true,  false, false};
+  EXPECT_EQ(m.last_applied(), applied);
+}
+
+TEST(MaintainerBatch, EffectReplaysTheDeltaAndListsEveryMove) {
+  Rng rng(77);
+  Graph g = ChungLuPowerLaw(150, 6.0, 2.1, 40, rng);
+  CoreMaintainer m;
+  m.Reset(g);
+  size_t moves_seen = 0;
+  for (int round = 0; round < 30; ++round) {
+    // Raw input: present and absent pairs in both batches, self-loops
+    // and repeats, so some operations are no-ops.
+    EdgeDelta delta;
+    const std::vector<Edge> edges = m.graph().CollectEdges();
+    for (int i = 0; i < 20; ++i) {
+      const VertexId u = static_cast<VertexId>(rng.Uniform(150));
+      const VertexId v = static_cast<VertexId>(rng.Uniform(150));
+      delta.insertions.emplace_back(u, v);
+      delta.deletions.push_back(edges[rng.Uniform(edges.size())]);
+      if (i % 5 == 0) delta.deletions.emplace_back(u, v);
+    }
+    delta.insertions.push_back(delta.insertions.front());
+
+    const Graph before = m.graph();
+    const std::vector<uint32_t> old_core = [&] {
+      std::vector<uint32_t> cores(before.NumVertices());
+      for (VertexId v = 0; v < before.NumVertices(); ++v) {
+        cores[v] = m.CoreOf(v);
+      }
+      return cores;
+    }();
+    const std::vector<VertexId> old_order = m.order().FullOrder();
+    const std::vector<VertexId> impacted = m.ApplyDelta(delta);
+
+    // The report flags exactly the ops that changed the graph, in
+    // application order (insertions, then deletions, each in input
+    // order); replaying only the flagged ops on the old graph gives the
+    // new one.
+    Graph probe = before;
+    std::vector<bool> applied;
+    for (const Edge& e : delta.insertions) {
+      applied.push_back(probe.AddEdge(e.u, e.v));
+    }
+    for (const Edge& e : delta.deletions) {
+      applied.push_back(probe.RemoveEdge(e.u, e.v));
+    }
+    EXPECT_EQ(m.last_applied(), applied) << "round " << round;
+    EXPECT_NE(std::count(applied.begin(), applied.end(), false), 0)
+        << "round " << round << ": the delta had no no-op to omit";
+    Graph replay = before;
+    size_t op = 0;
+    for (const Edge& e : delta.insertions) {
+      if (m.last_applied()[op++]) replay.AddEdge(e.u, e.v);
+    }
+    for (const Edge& e : delta.deletions) {
+      if (m.last_applied()[op++]) replay.RemoveEdge(e.u, e.v);
+    }
+    EXPECT_EQ(replay.CollectEdges(), m.graph().CollectEdges())
+        << "round " << round;
+
+    // Moves: impacted, with the pre-delta core; every vertex whose core
+    // changed moved; unmoved vertices keep their relative order.
+    std::vector<uint8_t> in_impacted(m.graph().NumVertices(), 0);
+    for (VertexId v : impacted) in_impacted[v] = 1;
+    std::vector<uint8_t> moved(m.graph().NumVertices(), 0);
+    for (VertexId v = 0; v < m.graph().NumVertices(); ++v) {
+      const uint32_t core_before = m.CoreBeforeMove(v);
+      if (core_before == CoreMaintainer::kNotMoved) continue;
+      moved[v] = 1;
+      ++moves_seen;
+      EXPECT_TRUE(in_impacted[v]) << "round " << round;
+      EXPECT_EQ(core_before, old_core[v]) << "round " << round;
+    }
+    std::vector<VertexId> kept_before;
+    std::vector<VertexId> kept_after;
+    for (VertexId v : old_order) {
+      if (!moved[v]) kept_before.push_back(v);
+    }
+    for (VertexId v : m.order().FullOrder()) {
+      if (!moved[v]) kept_after.push_back(v);
+      if (m.CoreOf(v) != old_core[v]) {
+        EXPECT_TRUE(moved[v]) << "round " << round << ": core of " << v
+                              << " changed without a move";
+      }
+    }
+    EXPECT_EQ(kept_before, kept_after) << "round " << round;
+  }
+  EXPECT_GT(moves_seen, 0u);
 }
 
 TEST(MaintainerStats, CountersAdvance) {
