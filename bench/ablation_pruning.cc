@@ -1,6 +1,5 @@
 // Ablation: the two Greedy accelerations of Section 4, measured
-// separately (this is the design-choice experiment DESIGN.md calls out;
-// the paper reports the combined effect only).
+// separately (the paper reports the combined effect only).
 //
 //  (a) Theorem-3 candidate pruning: optimized Greedy vs the same solver
 //      with the unpruned candidate pool.

@@ -1,6 +1,7 @@
 // Google-benchmark microbenches for the library's primitives:
 // core decomposition, K-order construction, single-edge maintenance vs
-// rebuild, follower-oracle queries, and exact anchored peels.
+// rebuild, batch and sliding-window maintenance, follower-oracle
+// queries, and exact anchored peels.
 //
 //   ./micro_benchmarks [--benchmark_filter=...]
 
@@ -11,7 +12,9 @@
 #include "anchor/follower_oracle.h"
 #include "corelib/decomposition.h"
 #include "corelib/korder.h"
+#include "gen/generator_source.h"
 #include "gen/models.h"
+#include "gen/temporal.h"
 #include "maint/maintainer.h"
 #include "util/random.h"
 
@@ -150,6 +153,39 @@ void BM_BatchDelta(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchDelta)->Arg(100)->Arg(250);
+
+// Maintenance alone on a sliding-window stream (perfbench's window-pl50k
+// shape at a few thousand vertices): each delta replaces most of the
+// window. One iteration replays every delta through ApplyDelta with the
+// CSR mirror on, as the tracker runs it; the reset between replays is
+// untimed.
+void BM_ApplyDeltaWindow(benchmark::State& state) {
+  Rng rng(80);
+  TemporalGenOptions options;
+  options.num_vertices = static_cast<VertexId>(state.range(0));
+  options.num_events = 60 * static_cast<uint64_t>(state.range(0));
+  TemporalWindowSource source(GenPowerLawActivityEvents(options, 2.2, rng),
+                              /*T=*/101, /*window_days=*/7);
+  std::vector<EdgeDelta> deltas;
+  int64_t edges = 0;
+  for (EdgeDelta delta; source.NextDelta(&delta).value();) {
+    edges += static_cast<int64_t>(delta.Size());
+    deltas.push_back(delta);
+  }
+  CoreMaintainer m;
+  m.SetCsrMirror(true);
+  for (auto _ : state) {
+    state.PauseTiming();
+    m.Reset(source.InitialGraph());
+    state.ResumeTiming();
+    for (const EdgeDelta& delta : deltas) {
+      benchmark::DoNotOptimize(m.ApplyDelta(delta).size());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * edges);
+}
+BENCHMARK(BM_ApplyDeltaWindow)->Arg(2000)->Arg(5000)->Unit(
+    benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace avt

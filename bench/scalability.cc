@@ -16,7 +16,9 @@
 //   * n = 10M (opt-in: --full or AVT_SCALE_10M=1; nightly CI): the
 //     delta stream is generated straight into a binary edge log —
 //     no 10M-vertex text file is ever written — and the pipeline runs
-//     from the mmap source alone.
+//     from the mmap source alone, so its anchors_bit_identical is
+//     "not-compared". The top-level flag is the conjunction over the
+//     tiers that did compare.
 //
 // Peak-RSS methodology: each tier's pipeline runs in a CHILD process
 // (this binary re-invoked with --tier-child), so getrusage's process
@@ -180,16 +182,19 @@ int RunTierChild(const Flags& flags) {
   // text comparison pipeline) must not pollute the tier's number.
   const uint64_t peak_rss = PeakRssBytes();
 
-  bool anchors_match = true;
+  // Tri-state: a tier without a text run compared nothing, so it
+  // reports "not-compared", never true.
+  const char* anchors_verdict = "\"not-compared\"";
   if (!text.empty()) {
     const size_t T = static_cast<size_t>(flags.GetInt("t", 8));
     const uint32_t window =
         static_cast<uint32_t>(flags.GetInt("window", kWindowTicks));
     PipelineResult txt =
         RunPipeline(MustOpenText(text, T, window), k, l);
-    anchors_match = bin.anchors == txt.anchors &&
-                    bin.snapshots == txt.snapshots &&
-                    bin.vertices == txt.vertices;
+    const bool anchors_match = bin.anchors == txt.anchors &&
+                               bin.snapshots == txt.snapshots &&
+                               bin.vertices == txt.vertices;
+    anchors_verdict = anchors_match ? "true" : "false";
     AVT_CHECK_MSG(anchors_match,
                   "scalability gate violated: binlog-streamed anchors "
                   "differ from text-streamed anchors");
@@ -222,7 +227,7 @@ int RunTierChild(const Flags& flags) {
   std::fprintf(f, "      \"text_compared\": %s,\n",
                text.empty() ? "false" : "true");
   std::fprintf(f, "      \"anchors_bit_identical\": %s\n",
-               anchors_match ? "true" : "false");
+               anchors_verdict);
   std::fprintf(f, "    }");
   std::fclose(f);
   std::printf("tier n=%u: %zu deltas, %.3f ms/delta, peak RSS %.1f MiB\n",
@@ -242,6 +247,17 @@ std::string Slurp(const std::string& path) {
   }
   std::fclose(f);
   return content;
+}
+
+// The "anchors_bit_identical" value a tier fragment carries: true,
+// false or "not-compared" (quotes included).
+std::string TierAnchorsVerdict(const std::string& fragment) {
+  const std::string key = "\"anchors_bit_identical\": ";
+  const size_t at = fragment.find(key);
+  AVT_CHECK_MSG(at != std::string::npos,
+                "tier fragment lacks anchors_bit_identical");
+  const size_t begin = at + key.size();
+  return fragment.substr(begin, fragment.find_first_of(",\n}", begin) - begin);
 }
 
 void RunChild(const std::string& command) {
@@ -414,15 +430,26 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    \"speedup_bound\": %.1f,\n", kIngestSpeedupBound);
   std::fprintf(f, "    \"streams_bit_identical\": true\n");
   std::fprintf(f, "  },\n");
+  // The top-level flag is the conjunction over the tiers that compared
+  // anything, and "not-compared" when none did.
+  const std::string tier1_fragment = Slurp(tier1_out);
+  std::string anchors_verdict = "\"not-compared\"";
+  for (const std::string& fragment : {tier1_fragment, tier10_fragment}) {
+    if (fragment.empty()) continue;
+    const std::string verdict = TierAnchorsVerdict(fragment);
+    if (verdict == "\"not-compared\"" || anchors_verdict == "false") continue;
+    anchors_verdict = verdict;
+  }
   std::fprintf(f, "  \"tiers\": [\n");
-  std::fprintf(f, "    %s", Slurp(tier1_out).c_str());
+  std::fprintf(f, "    %s", tier1_fragment.c_str());
   if (!tier10_fragment.empty()) {
     std::fprintf(f, ",\n    %s\n", tier10_fragment.c_str());
   } else {
     std::fprintf(f, "\n");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"anchors_bit_identical\": true\n");
+  std::fprintf(f, "  \"anchors_bit_identical\": %s\n",
+               anchors_verdict.c_str());
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   EmitTable("Table 2: dataset statistics (paper vs replica)", table,
             config.print_csv);
   std::printf("\nnote: replica columns are the synthetic stand-ins "
-              "described in DESIGN.md section 3;\n"
+              "made in src/gen/datasets.cc;\n"
               "temporal replicas report their first-window graph.\n");
   return 0;
 }

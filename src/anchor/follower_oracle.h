@@ -15,7 +15,8 @@
 //     where deg-(w) counts candidate neighbors positioned before w.
 //     Candidates propagate deg- to their later neighbors below the k-core.
 //     An induction over positions shows every true follower becomes a
-//     candidate (DESIGN.md), so the pass yields a superset of F.
+//     candidate (docs/ARCHITECTURE.md, "The oracle's forward pass keeps
+//     every follower"), so the pass yields a superset of F.
 //
 //  2. Elimination fixpoint. A candidate's exact support counts neighbors
 //     that are anchors, k-core members (core >= k), or surviving

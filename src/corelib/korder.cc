@@ -1,7 +1,5 @@
 #include "corelib/korder.h"
 
-#include "graph/dynamic_csr.h"
-
 namespace avt {
 
 void KOrder::Build(const Graph& graph) {
@@ -147,11 +145,6 @@ void KOrder::MoveToLevelBack(VertexId v, uint32_t level) {
 
 uint32_t KOrder::RecomputeDegPlus(const Graph& graph, VertexId v) {
   hot_[v].deg_plus = ComputeDegPlus(graph, v);
-  return hot_[v].deg_plus;
-}
-
-uint32_t KOrder::RecomputeDegPlus(const DynamicCsr& csr, VertexId v) {
-  hot_[v].deg_plus = ComputeDegPlus(csr, v);
   return hot_[v].deg_plus;
 }
 

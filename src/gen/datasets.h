@@ -5,7 +5,8 @@
 // replica that matches the statistics the algorithms are sensitive to
 // (vertex count, average degree, degree-distribution family, community
 // structure, and — for temporal datasets — event count, day span and the
-// paper's window rule). DESIGN.md Section 3 documents each substitution.
+// paper's window rule). MakeDatasetGraph and MakeEventLog in
+// gen/datasets.cc make each substitution.
 //
 // `scale` shrinks vertex/event counts proportionally (default benchmark
 // runs use a fraction of the paper's sizes so the full harness completes

@@ -39,8 +39,13 @@ void DynamicCsr::AddEdge(VertexId u, VertexId v) {
 
 void DynamicCsr::RemoveEdge(VertexId u, VertexId v) {
   AVT_DCHECK(u < NumVertices() && v < NumVertices() && u != v);
-  EraseOne(u, v);
-  EraseOne(v, u);
+  RemoveEdge(u, v, Graph::ErasedSlots{Find(u, v), Find(v, u)});
+}
+
+void DynamicCsr::RemoveEdge(VertexId u, VertexId v,
+                            const Graph::ErasedSlots& slots) {
+  EraseAt(u, slots.in_u, v);
+  EraseAt(v, slots.in_v, u);
   live_ -= 2;
 }
 
@@ -52,17 +57,19 @@ void DynamicCsr::Append(VertexId u, VertexId v) {
   ++slabs_[u].degree;
 }
 
-void DynamicCsr::EraseOne(VertexId u, VertexId v) {
+uint32_t DynamicCsr::Find(VertexId u, VertexId v) const {
+  const std::span<const VertexId> nbrs = Neighbors(u);
+  return static_cast<uint32_t>(std::find(nbrs.begin(), nbrs.end(), v) -
+                               nbrs.begin());
+}
+
+void DynamicCsr::EraseAt(VertexId u, uint32_t pos, VertexId v) {
   Slab& slab = slabs_[u];
   VertexId* data = targets_.data() + slab.offset;
-  for (uint32_t i = 0; i < slab.degree; ++i) {
-    if (data[i] == v) {
-      data[i] = data[slab.degree - 1];
-      --slab.degree;
-      return;
-    }
-  }
-  AVT_CHECK_MSG(false, "DynamicCsr::RemoveEdge: edge absent from mirror");
+  AVT_CHECK_MSG(pos < slab.degree && data[pos] == v,
+                "DynamicCsr::RemoveEdge: edge absent from mirror slot");
+  data[pos] = data[slab.degree - 1];
+  --slab.degree;
 }
 
 void DynamicCsr::Relocate(VertexId u, uint32_t min_capacity) {

@@ -75,6 +75,12 @@ class DynamicCsr {
   /// order equivalence.
   void RemoveEdge(VertexId u, VertexId v);
 
+  /// Same removal at the positions Graph::RemoveEdge reported erasing.
+  /// The order contract makes them this mirror's positions too, so no
+  /// slab is scanned; a slot not holding the expected neighbor (the
+  /// contract broken) fails an AVT_CHECK.
+  void RemoveEdge(VertexId u, VertexId v, const Graph::ErasedSlots& slots);
+
   VertexId NumVertices() const {
     return static_cast<VertexId>(slabs_.size());
   }
@@ -116,8 +122,10 @@ class DynamicCsr {
 
   /// Appends `v` to u's slab, relocating to a larger slab if full.
   void Append(VertexId u, VertexId v);
-  /// Swap-with-back removal of `v` from u's slab.
-  void EraseOne(VertexId u, VertexId v);
+  /// Index of `v` in u's slab, or u's degree when absent.
+  uint32_t Find(VertexId u, VertexId v) const;
+  /// Swap-with-back removal of u's entry at `pos`, which must be `v`.
+  void EraseAt(VertexId u, uint32_t pos, VertexId v);
   /// Moves u's slab to a fresh slab of at least `min_capacity` at the
   /// end of `targets_`; the old slab becomes garbage.
   void Relocate(VertexId u, uint32_t min_capacity);

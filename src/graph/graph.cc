@@ -86,23 +86,25 @@ bool Graph::AddEdge(VertexId u, VertexId v) {
   return true;
 }
 
-bool Graph::RemoveEdge(VertexId u, VertexId v) {
+bool Graph::RemoveEdge(VertexId u, VertexId v, ErasedSlots* slots) {
   AVT_CHECK_MSG(u < NumVertices() && v < NumVertices(),
                 "RemoveEdge endpoint out of range (grow with EnsureVertex)");
   if (u == v) return false;
+  // Swap-with-back erase; returns the erased index, or kAbsent.
+  constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
   auto erase_one = [this](VertexId from, VertexId target) {
     auto& list = adjacency_[from];
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (list[i] == target) {
-        list[i] = list.back();
-        list.pop_back();
-        return true;
-      }
-    }
-    return false;
+    const auto it = std::find(list.begin(), list.end(), target);
+    if (it == list.end()) return kAbsent;
+    *it = list.back();
+    list.pop_back();
+    return static_cast<uint32_t>(it - list.begin());
   };
-  if (!erase_one(u, v)) return false;
-  AVT_CHECK(erase_one(v, u));
+  const uint32_t in_u = erase_one(u, v);
+  if (in_u == kAbsent) return false;
+  const uint32_t in_v = erase_one(v, u);
+  AVT_CHECK(in_v != kAbsent);
+  if (slots != nullptr) *slots = ErasedSlots{in_u, in_v};
   --num_edges_;
   return true;
 }

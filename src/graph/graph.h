@@ -88,8 +88,17 @@ class Graph {
   /// already exists or u == v.
   bool AddEdge(VertexId u, VertexId v);
 
-  /// Removes edge (u, v). Returns false if absent.
-  bool RemoveEdge(VertexId u, VertexId v);
+  /// Where a removal erased the edge: its index in u's list and in v's
+  /// list. Each slot now holds its list's former back entry.
+  struct ErasedSlots {
+    uint32_t in_u = 0;
+    uint32_t in_v = 0;
+  };
+
+  /// Removes edge (u, v). Returns false if absent. On success `slots`,
+  /// when given, receives the two erased positions, so a mirror with the
+  /// same neighbor order (DynamicCsr) can erase there without a scan.
+  bool RemoveEdge(VertexId u, VertexId v, ErasedSlots* slots = nullptr);
 
   bool HasEdge(VertexId u, VertexId v) const;
 

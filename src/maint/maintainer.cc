@@ -1,7 +1,7 @@
 #include "maint/maintainer.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 namespace avt {
 
@@ -12,11 +12,7 @@ void CoreMaintainer::Reset(const Graph& graph) {
   last_applied_.clear();
   if (csr_enabled_) csr_.Rebuild(graph_);
   const size_t n = graph_.NumVertices();
-  deg_minus_.Resize(n);
-  in_heap_.Resize(n);
-  candidate_.Resize(n);
-  eliminated_.Resize(n);
-  support_.Resize(n);
+  insert_.Resize(n);
   cd_.Resize(n);
   dropped_.Resize(n);
   affected_mark_.Resize(n);
@@ -30,11 +26,7 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
   }
   if (csr_enabled_) csr_.EnsureVertices(count);
   const size_t n = graph_.NumVertices();
-  deg_minus_.Grow(n);
-  in_heap_.Grow(n);
-  candidate_.Grow(n);
-  eliminated_.Grow(n);
-  support_.Grow(n);
+  insert_.Grow(n);
   cd_.Grow(n);
   dropped_.Grow(n);
   affected_mark_.Grow(n);
@@ -94,100 +86,108 @@ template <typename Adjacency>
 void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
                                       uint32_t level) {
   ++stats_.cascades;
-  deg_minus_.Clear();
-  in_heap_.Clear();
-  candidate_.Clear();
-  eliminated_.Clear();
-  support_.Clear();
+  insert_.Clear();
+  heap_.clear();
+  candidates_.clear();
+  eliminated_list_.clear();
+  queue_.clear();
 
   // Forward pass in K-order position over level `level`, visiting only
-  // affected vertices (root + vertices whose candidate degree turned
-  // positive). Pops are ordered by tag, so every vertex is popped after
-  // all candidates that precede it have been decided.
-  using HeapEntry = std::pair<uint64_t, VertexId>;  // (tag, vertex)
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap;
-  heap.emplace(order_.TagOf(root), root);
-  in_heap_.Set(root, 1);
-
-  std::vector<VertexId> visited;
-  std::vector<VertexId> candidates_in_order;
-  while (!heap.empty()) {
-    auto [tag, w] = heap.top();
-    heap.pop();
-    visited.push_back(w);
+  // the root and vertices a candidate pushed. Pops are ordered by tag,
+  // so every vertex is popped after all candidates that precede it have
+  // been decided, and deg-(w) is then exactly the number of candidate
+  // neighbors before w. The one scan of a candidate's neighborhood also
+  // counts its support |{x : core(x) > level}| + |{candidate x}|: the
+  // candidates before it now, each later one when that one scans it.
+  heap_.emplace_back(order_.TagOf(root), root);
+  insert_.Mutable(root).queued = true;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
+    const auto [tag, w] = heap_.back();
+    heap_.pop_back();
     MarkAffected(w);
     ++stats_.visited;
-    uint32_t upper = order_.DegPlus(w) + deg_minus_.Get(w);
-    if (upper <= level) continue;  // cannot reach level+1: final (no
-                                   // later pushes can target it).
-    candidate_.Set(w, 1);
-    candidates_in_order.push_back(w);
-    for (VertexId x : adj.Neighbors(w)) {
-      if (order_.CoreOf(x) != level) continue;
-      if (!order_.Precedes(w, x)) continue;
-      if (candidate_.Get(x)) continue;
-      deg_minus_.Add(x, 1);
-      if (!in_heap_.Get(x)) {
-        in_heap_.Set(x, 1);
-        heap.emplace(order_.TagOf(x), x);
-      }
+    InsertSlot& slot = insert_.Mutable(w);
+    if (order_.DegPlus(w) + slot.deg_minus <= level) {
+      // Final: it stays put, and its deg- candidate neighbors before it
+      // all move behind it (promoted, or eliminated to the level's back).
+      order_.IncrementDegPlus(w, static_cast<int32_t>(slot.deg_minus));
+      continue;
     }
-  }
-
-  // Elimination to fixpoint with exact support counts. Support of a
-  // candidate = neighbors already above `level` + surviving candidates.
-  std::queue<VertexId> review;
-  for (VertexId w : candidates_in_order) {
+    slot.candidate = true;
+    candidates_.push_back(w);
     uint32_t support = 0;
     for (VertexId x : adj.Neighbors(w)) {
-      if (order_.CoreOf(x) > level || candidate_.Get(x)) ++support;
-    }
-    support_.Set(w, support);
-    if (support <= level) review.push(w);
-  }
-  std::vector<VertexId> eliminated_in_order;
-  while (!review.empty()) {
-    VertexId w = review.front();
-    review.pop();
-    if (eliminated_.Get(w)) continue;
-    if (support_.Get(w) > level) continue;  // revived support? impossible,
-                                            // but keep the check cheap.
-    eliminated_.Set(w, 1);
-    candidate_.Set(w, 0);
-    eliminated_in_order.push_back(w);
-    for (VertexId x : adj.Neighbors(w)) {
-      if (candidate_.Get(x) && !eliminated_.Get(x)) {
-        support_.Add(x, static_cast<uint32_t>(-1));
-        if (support_.Get(x) <= level) review.push(x);
+      const uint32_t core = order_.CoreOf(x);
+      if (core != level) {
+        if (core > level) ++support;
+        continue;
       }
+      if (order_.TagOf(x) < tag) {  // decided already
+        if (insert_.Get(x).candidate) {
+          ++support;
+          ++insert_.Mutable(x).support;
+        }
+        continue;
+      }
+      InsertSlot& later = insert_.Mutable(x);
+      ++later.deg_minus;
+      if (!later.queued) {
+        later.queued = true;
+        heap_.emplace_back(order_.TagOf(x), x);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
+      }
+    }
+    slot.support = support;
+  }
+
+  // Elimination to fixpoint: a candidate without level+1 supporters
+  // among the neighbors above `level` and the surviving candidates
+  // fails. The surviving candidates still adjacent to it end up after
+  // it (promoted, or eliminated later to the level's back), so its
+  // support at elimination is its new deg+. For a candidate x after it,
+  // deg-(x) drops too: deg- keeps counting surviving candidates before x.
+  for (VertexId w : candidates_) {
+    if (insert_.Get(w).support <= level) queue_.push_back(w);
+  }
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const VertexId w = queue_[head];
+    InsertSlot& slot = insert_.Mutable(w);
+    if (!slot.candidate) continue;  // eliminated already
+    if (slot.support > level) continue;  // revived support? impossible,
+                                         // but keep the check cheap.
+    slot.candidate = false;
+    eliminated_list_.push_back(w);
+    order_.SetDegPlus(w, slot.support);
+    // With every candidate eliminated there is no support to take back.
+    if (eliminated_list_.size() == candidates_.size()) continue;
+    const uint64_t tag = order_.TagOf(w);
+    for (VertexId x : adj.Neighbors(w)) {
+      if (!insert_.Get(x).candidate) continue;
+      InsertSlot& survivor = insert_.Mutable(x);
+      if (order_.TagOf(x) > tag) --survivor.deg_minus;
+      if (--survivor.support <= level) queue_.push_back(x);
     }
   }
 
   // Apply moves. Survivors rise to level+1, entering at the front in
   // their original relative order (push front in reverse pop order).
-  std::vector<VertexId> promoted;
-  for (VertexId w : candidates_in_order) {
-    if (!eliminated_.Get(w)) promoted.push_back(w);
-  }
-  for (auto it = promoted.rbegin(); it != promoted.rend(); ++it) {
-    MarkMoved(*it);
-    order_.MoveToLevelFront(*it, level + 1);
+  // A survivor's new later neighbors are those above `level` plus the
+  // survivors after it: its support minus the survivors before it.
+  for (auto it = candidates_.rbegin(); it != candidates_.rend(); ++it) {
+    const VertexId w = *it;
+    const InsertSlot& slot = insert_.Get(w);
+    if (!slot.candidate) continue;
+    order_.SetDegPlus(w, slot.support - slot.deg_minus);
+    MarkMoved(w);
+    order_.MoveToLevelFront(w, level + 1);
     ++stats_.promotions;
   }
   // Failed candidates move to the back of their level in elimination
   // order (restores deg+ <= core; see class comment).
-  for (VertexId w : eliminated_in_order) {
+  for (VertexId w : eliminated_list_) {
     MarkMoved(w);
     order_.MoveToLevelBack(w, level);
-  }
-
-  // Refresh deg+ for everything whose later-neighbor set may have
-  // changed: exactly the visited vertices (a vertex not visited has no
-  // moved neighbor that crossed from before to after it).
-  for (VertexId w : visited) {
-    order_.RecomputeDegPlus(adj, w);
   }
 }
 
@@ -197,12 +197,13 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   // no-op — never an assertion, because external input must not be
   // able to abort the process. The graph mutates first; the index is
   // touched only once the removal actually happened.
-  if (!graph_.RemoveEdge(u, v)) return false;
+  Graph::ErasedSlots slots;
+  if (!graph_.RemoveEdge(u, v, &slots)) return false;
   // Fix deg+ of the earlier endpoint now that its later neighbor is
   // gone (Lemma 1, mirrored).
   VertexId earlier = order_.Precedes(u, v) ? u : v;
   order_.IncrementDegPlus(earlier, -1);
-  if (csr_enabled_) csr_.RemoveEdge(u, v);
+  if (csr_enabled_) csr_.RemoveEdge(u, v, slots);
   ++stats_.edges_removed;
   MarkAffected(u);
   MarkAffected(v);
@@ -212,23 +213,26 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   const uint32_t level = std::min(ku, kv);
   if (level == 0) return true;  // an endpoint already at core 0 (only
                                 // possible transiently; nothing to drop).
-  std::vector<VertexId> seeds;
-  if (ku == level) seeds.push_back(u);
-  if (kv == level && v != u) seeds.push_back(v);
+  VertexId seeds[2];
+  size_t num_seeds = 0;
+  if (ku == level) seeds[num_seeds++] = u;
+  if (kv == level) seeds[num_seeds++] = v;
   if (csr_enabled_) {
-    RunRemoveCascade(csr_, seeds, level);
+    RunRemoveCascade(csr_, {seeds, num_seeds}, level);
   } else {
-    RunRemoveCascade(graph_, seeds, level);
+    RunRemoveCascade(graph_, {seeds, num_seeds}, level);
   }
   return true;
 }
 
 template <typename Adjacency>
 void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
-                                      const std::vector<VertexId>& seeds,
+                                      std::span<const VertexId> seeds,
                                       uint32_t level) {
   cd_.Clear();
   dropped_.Clear();
+  dropped_list_.clear();
+  queue_.clear();
 
   // cd(w): number of neighbors currently supporting w at `level`, i.e.
   // with effective core >= level, where already-dropped vertices count as
@@ -246,54 +250,51 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
     cd_.Set(w, count);
   };
 
-  std::queue<VertexId> review;
   for (VertexId s : seeds) {
     touch(s);
     ++stats_.visited;
-    if (cd_.Get(s) < level) review.push(s);
+    if (cd_.Get(s) < level) queue_.push_back(s);
   }
 
-  std::vector<VertexId> dropped_in_order;
-  while (!review.empty()) {
-    VertexId w = review.front();
-    review.pop();
+  // Dropped vertices join the back of level-1 in drop order, so when w
+  // drops its later neighbors there are exactly the ones not dropped
+  // yet at level >= `level` (kept, or dropped after w): the drop scan
+  // sets deg+(w). A neighbor x at `level` before w loses w from its
+  // later set; if x drops too, its own drop scan overwrites deg+(x).
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const VertexId w = queue_[head];
     if (dropped_.Get(w)) continue;
     if (cd_.Get(w) >= level) continue;
     dropped_.Set(w, 1);
-    dropped_in_order.push_back(w);
+    dropped_list_.push_back(w);
     MarkAffected(w);
+    const uint64_t tag = order_.TagOf(w);
+    uint32_t later = 0;
     for (VertexId x : adj.Neighbors(w)) {
-      if (order_.CoreOf(x) != level || dropped_.Get(x)) continue;
+      const uint32_t core = order_.CoreOf(x);
+      if (core < level || dropped_.Get(x)) continue;
+      ++later;
+      if (core != level) continue;
+      if (order_.TagOf(x) < tag) order_.IncrementDegPlus(x, -1);
       if (cd_.Contains(x)) {
         cd_.Add(x, static_cast<uint32_t>(-1));
       } else {
         touch(x);  // already reflects w's drop via effective_core
         ++stats_.visited;
       }
-      if (cd_.Get(x) < level) review.push(x);
+      if (cd_.Get(x) < level) queue_.push_back(x);
     }
+    order_.SetDegPlus(w, later);
   }
-  if (dropped_in_order.empty()) return;
+  if (dropped_list_.empty()) return;
   ++stats_.cascades;
 
   // Dropped vertices join the back of level-1 in drop order (valid: at
   // drop time each had < level supporters counting later-dropped ones).
-  for (VertexId w : dropped_in_order) {
+  for (VertexId w : dropped_list_) {
     MarkMoved(w);
     order_.MoveToLevelBack(w, level - 1);
     ++stats_.demotions;
-  }
-  // deg+ refresh: the dropped vertices themselves, plus their kept
-  // level-`level` neighbors that preceded them (they may lose the dropped
-  // vertex from their later set). Recomputing all level-`level` neighbors
-  // is simpler and within the same complexity bound.
-  for (VertexId w : dropped_in_order) {
-    order_.RecomputeDegPlus(adj, w);
-    for (VertexId x : adj.Neighbors(w)) {
-      if (order_.CoreOf(x) == level) {
-        order_.RecomputeDegPlus(adj, x);
-      }
-    }
   }
 }
 

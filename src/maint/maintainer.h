@@ -5,7 +5,7 @@
 // one edge at a time: a single edge changes any core number by at most
 // one, so the published single-edge OrderInsert / OrderRemoval updates,
 // looped over the batch, implement the paper's bounded K-order maintenance
-// exactly (see DESIGN.md for the equivalence argument).
+// exactly (docs/ARCHITECTURE.md, "Per-edge maintenance is exact").
 //
 // Insertion cascade ("EdgeInsert"). Let the root be the endpoint earlier
 // in K-order, at level K. Its remaining degree deg+ rises by one; if it
@@ -13,13 +13,13 @@
 // vertex w is an optimistic candidate when
 //     deg+(w) + deg-(w) > K
 // where deg-(w) counts already-candidate neighbors positioned before w.
-// After the scan, candidates whose exact support
+// Candidates whose exact support
 //     |{x in nbr(w) : core(x) >= K+1}| + |{x in nbr(w) : x candidate}|
-// falls below K+1 are eliminated to a fixpoint. Survivors form exactly the
-// set of vertices whose core number rises to K+1 (the unique maximal
-// self-supporting set); they move, preserving relative order, to the front
-// of level K+1. Eliminated vertices move to the back of level K in
-// elimination order, which provably restores deg+(v) <= core(v).
+// falls below K+1 are then eliminated to a fixpoint. Survivors form
+// exactly the set of vertices whose core number rises to K+1 (the unique
+// maximal self-supporting set); they move, preserving relative order, to
+// the front of level K+1. Eliminated vertices move to the back of level K
+// in elimination order, which provably restores deg+(v) <= core(v).
 //
 // Deletion cascade ("EdgeRemove"). Only vertices at level K = min endpoint
 // core can drop, by exactly one level. Starting from the endpoints, a
@@ -27,14 +27,26 @@
 // Definition 6) falls below K; drops propagate to level-K neighbors.
 // Dropped vertices move to the back of level K-1 in drop order.
 //
+// Cost. An insertion scans each candidate's neighborhood once, in the
+// forward pass, which also counts the candidate's support, and an
+// eliminated candidate once more to withdraw that support while other
+// candidates are alive. A deletion scans a vertex once to count its
+// current-core degree and once when it drops. deg+ is never recounted:
+// every changed value follows from those scans (docs/PERFORMANCE.md,
+// "Exact maintenance cascades"). The scratch is epoch-stamped and the
+// work lists are reused members, so a cascade allocates nothing.
+//
 // After every edge operation the index satisfies the full invariant suite
 // of corelib/invariants.h; randomized differential tests in
-// tests/maintainer_*.cc verify this against fresh decompositions.
+// tests/maintainer_*.cc verify this against fresh decompositions, and
+// tests/maintainer_test.cc pins every position and deg+ to golden digests.
 
 #ifndef AVT_MAINT_MAINTAINER_H_
 #define AVT_MAINT_MAINTAINER_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "corelib/korder.h"
@@ -146,8 +158,8 @@ class CoreMaintainer {
   template <typename Adjacency>
   void RunInsertCascade(const Adjacency& adj, VertexId root, uint32_t level);
   template <typename Adjacency>
-  void RunRemoveCascade(const Adjacency& adj,
-                        const std::vector<VertexId>& seeds, uint32_t level);
+  void RunRemoveCascade(const Adjacency& adj, std::span<const VertexId> seeds,
+                        uint32_t level);
   void MarkAffected(VertexId v);
   /// Records v's pre-delta core on its first move of the delta; call
   /// before moving it, while CoreOf(v) still is that core.
@@ -159,14 +171,31 @@ class CoreMaintainer {
   DynamicCsr csr_;
   bool csr_enabled_ = false;
 
+  // Insertion-cascade scratch: one 16-byte slot per vertex with its
+  // epoch stamp. A cascade reads and writes these fields together, so
+  // one slot costs one cache line where five arrays cost five.
+  struct InsertSlot {
+    uint32_t deg_minus = 0;  // candidates before it (surviving ones,
+                             // once elimination runs)
+    uint32_t support = 0;    // neighbors above the level + candidates
+    bool queued = false;     // pushed onto the heap
+    bool candidate = false;  // a candidate not (yet) eliminated
+  };
+  static_assert(sizeof(InsertSlot) == 12, "16 bytes with the epoch stamp");
+
   // Scratch for cascades (sized to vertex count by Reset()).
-  EpochArray<uint32_t> deg_minus_;
-  EpochArray<uint8_t> in_heap_;
-  EpochArray<uint8_t> candidate_;   // tentatively promoted
-  EpochArray<uint8_t> eliminated_;
-  EpochArray<uint32_t> support_;
+  EpochArray<InsertSlot> insert_;
   EpochArray<uint32_t> cd_;         // current-core degree (deletions)
   EpochArray<uint8_t> dropped_;
+
+  // Cascade work lists, cleared per cascade and never shrunk, so a
+  // cascade allocates nothing once they reach their high-water marks.
+  using HeapEntry = std::pair<uint64_t, VertexId>;  // (tag, vertex)
+  std::vector<HeapEntry> heap_;      // min-heap on tag (std::greater)
+  std::vector<VertexId> queue_;      // FIFO, read by a moving head index
+  std::vector<VertexId> candidates_;       // in decision (tag) order
+  std::vector<VertexId> eliminated_list_;  // in elimination order
+  std::vector<VertexId> dropped_list_;     // in drop order
 
   // Batch-level affected set, kept after ApplyDelta for the reports. A
   // mark is kAffectedBit, plus (core before the delta + 1) << 1 once

@@ -65,6 +65,17 @@ class EpochArray {
     return slot.stamp == epoch_ ? slot.value : default_;
   }
 
+  /// The slot's value for in-place update, reset to the default first
+  /// if stale: lets a struct-valued array change one field at a time.
+  T& Mutable(size_t i) {
+    Slot& slot = slots_[i];
+    if (slot.stamp != epoch_) {
+      slot.value = default_;
+      slot.stamp = epoch_;
+    }
+    return slot.value;
+  }
+
   void Set(size_t i, T value) {
     slots_[i].stamp = epoch_;
     slots_[i].value = value;

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "gen/models.h"
@@ -203,6 +205,44 @@ TEST(DynamicCsr, MaintainerMirrorTracksApplyDelta) {
     maintainer.ApplyDelta(delta);
     ASSERT_TRUE(MirrorsGraph(*maintainer.csr(), maintainer.graph()))
         << "step " << step;
+  }
+
+  // The mirror erases at the positions Graph::RemoveEdge reports, and
+  // each swap-with-back moves an entry that a later erasure in the same
+  // list may target. Strip most edges of the current hubs, several per
+  // vertex per delta in scrambled list order, with insertions into the
+  // same lists first so appends and erasures interleave.
+  for (int step = 0; step < 12; ++step) {
+    const Graph& now = maintainer.graph();
+    VertexId hub = 0;
+    for (VertexId v = 1; v < now.NumVertices(); ++v) {
+      if (now.Degree(v) > now.Degree(hub)) hub = v;
+    }
+    EdgeDelta delta;
+    for (int i = 0; i < 4; ++i) {
+      const VertexId v = static_cast<VertexId>(rng.Uniform(200));
+      if (v != hub && !now.HasEdge(hub, v)) delta.insertions.emplace_back(hub, v);
+    }
+    std::span<const VertexId> nbrs = now.Neighbors(hub);
+    std::vector<VertexId> victims(nbrs.begin(), nbrs.end());
+    for (size_t i = victims.size(); i > 1; --i) {
+      std::swap(victims[i - 1], victims[rng.Uniform(i)]);
+    }
+    victims.resize(victims.size() * 2 / 3);
+    for (VertexId v : victims) delta.deletions.emplace_back(hub, v);
+    // Several edges of one low-degree neighbor too: its list shrinks
+    // from the middle and the back within one delta.
+    if (!victims.empty()) {
+      const VertexId x = victims.front();
+      std::span<const VertexId> xs = now.Neighbors(x);
+      for (size_t i = 0; i < xs.size(); i += 2) {
+        if (xs[i] != hub) delta.deletions.emplace_back(x, xs[i]);
+      }
+    }
+    ASSERT_GT(delta.deletions.size(), 2u) << "hub step " << step;
+    maintainer.ApplyDelta(delta);
+    ASSERT_TRUE(MirrorsGraph(*maintainer.csr(), maintainer.graph()))
+        << "hub step " << step;
   }
 
   // Disabling drops the mirror; re-enabling rebuilds it fresh.

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "corelib/invariants.h"
 #include "gen/models.h"
@@ -366,6 +369,234 @@ TEST(MaintainerBatch, EffectReplaysTheDeltaAndListsEveryMove) {
     EXPECT_EQ(kept_before, kept_after) << "round " << round;
   }
   EXPECT_GT(moves_seen, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Golden K-order pin. The cascades may be rewritten for speed, but never
+// for a different answer: every K-order position, every deg+, and both
+// per-delta reports feed the candidate index and the anchors, so they
+// are pinned bit for bit against digests recorded from the reference
+// implementation. G_0 is an integer-only Chung-Lu graph (weights
+// ~ 1/rank, endpoints drawn weight-proportionally) so the digests do
+// not depend on libm. One stream replaces most edges per delta (a
+// sliding window); the other strips hub edges (uniform churn removals
+// are degree-biased). Both mix in no-op operations.
+// ---------------------------------------------------------------------
+
+struct GoldenStream {
+  Graph g0;
+  std::vector<EdgeDelta> deltas;
+};
+
+class WeightedPicker {
+ public:
+  explicit WeightedPicker(VertexId n) {
+    // Weight of rank r is ~ 2400 / (r + 12): hubs near 200, tail near 5.
+    for (VertexId v = 0; v < n; ++v) {
+      total_ += 2400 / (v + 12) + 2;
+      prefix_.push_back(total_);
+    }
+  }
+  VertexId Pick(Rng& rng) const {
+    const uint64_t x = rng.Uniform(total_);
+    return static_cast<VertexId>(
+        std::upper_bound(prefix_.begin(), prefix_.end(), x) -
+        prefix_.begin());
+  }
+
+ private:
+  std::vector<uint64_t> prefix_;
+  uint64_t total_ = 0;
+};
+
+constexpr VertexId kGoldenN = 700;
+
+Graph GoldenChungLu(const WeightedPicker& picker, uint64_t m, Rng& rng) {
+  Graph g(kGoldenN);
+  while (g.NumEdges() < m) {
+    const VertexId u = picker.Pick(rng);
+    const VertexId v = picker.Pick(rng);
+    if (u != v) g.AddEdge(u, v);
+  }
+  return g;
+}
+
+// Each delta keeps a quarter of the window and draws the rest afresh.
+GoldenStream MakeWindowStream() {
+  Rng rng(0x601DE7);
+  const WeightedPicker picker(kGoldenN);
+  GoldenStream s;
+  s.g0 = GoldenChungLu(picker, 3000, rng);
+  Graph current = s.g0;
+  for (int step = 0; step < 8; ++step) {
+    EdgeDelta delta;
+    Graph next(kGoldenN);
+    for (const Edge& e : current.CollectEdges()) {
+      if (rng.Uniform(4) == 0) {
+        next.AddEdge(e.u, e.v);
+      } else {
+        delta.deletions.push_back(e);
+      }
+    }
+    while (next.NumEdges() < 3000) {
+      const VertexId u = picker.Pick(rng);
+      const VertexId v = picker.Pick(rng);
+      if (u == v || !next.AddEdge(u, v)) continue;
+      if (!current.HasEdge(u, v)) delta.insertions.emplace_back(u, v);
+    }
+    // No-ops: a repeated insertion and an absent removal.
+    delta.insertions.push_back(delta.insertions.front());
+    delta.deletions.emplace_back(kGoldenN - 1, kGoldenN - 2);
+    current = std::move(next);
+    s.deltas.push_back(std::move(delta));
+  }
+  return s;
+}
+
+// Each delta removes most edges of the five current hubs plus a few
+// random edges, and draws as many weighted insertions.
+GoldenStream MakeHubChurnStream() {
+  Rng rng(0xC4B5);
+  const WeightedPicker picker(kGoldenN);
+  GoldenStream s;
+  s.g0 = GoldenChungLu(picker, 3000, rng);
+  Graph current = s.g0;
+  for (int step = 0; step < 12; ++step) {
+    EdgeDelta delta;
+    std::vector<VertexId> by_degree(kGoldenN);
+    for (VertexId v = 0; v < kGoldenN; ++v) by_degree[v] = v;
+    std::stable_sort(by_degree.begin(), by_degree.end(),
+                     [&](VertexId a, VertexId b) {
+                       return current.Degree(a) > current.Degree(b);
+                     });
+    Graph next = current;
+    for (int h = 0; h < 5; ++h) {
+      const VertexId hub = by_degree[h];
+      const std::span<const VertexId> nbrs = current.Neighbors(hub);
+      for (VertexId x : std::vector<VertexId>(nbrs.begin(), nbrs.end())) {
+        if (rng.Uniform(10) < 7 && next.RemoveEdge(hub, x)) {
+          delta.deletions.emplace_back(hub, x);
+        }
+      }
+    }
+    const std::vector<Edge> edges = next.CollectEdges();
+    for (int i = 0; i < 40; ++i) {
+      const Edge& e = edges[rng.Uniform(edges.size())];
+      delta.deletions.push_back(e);  // repeats become absent removals
+      next.RemoveEdge(e.u, e.v);
+    }
+    const size_t removed = current.NumEdges() - next.NumEdges();
+    for (size_t i = 0; i < removed + 5; ++i) {
+      const VertexId u = picker.Pick(rng);
+      const VertexId v = picker.Pick(rng);
+      delta.insertions.emplace_back(u, v);  // self-loops, repeats: no-ops
+    }
+    delta.Apply(current);
+    s.deltas.push_back(std::move(delta));
+  }
+  return s;
+}
+
+class Digest {
+ public:
+  void Mix(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      state_ ^= (word >> (8 * i)) & 0xFF;
+      state_ *= 0x100000001B3ULL;
+    }
+  }
+  uint64_t value() const { return state_; }
+
+ private:
+  uint64_t state_ = 0xCBF29CE484222325ULL;
+};
+
+struct GoldenDigests {
+  uint64_t order, deg_plus, impacted, applied, core_before;
+};
+
+::testing::AssertionResult DegPlusIsFresh(const CoreMaintainer& m) {
+  const Graph& g = m.graph();
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    uint32_t later = 0;
+    for (VertexId x : g.Neighbors(v)) {
+      if (m.order().Precedes(v, x)) ++later;
+    }
+    if (later != m.order().DegPlus(v)) {
+      return ::testing::AssertionFailure()
+             << "deg+(" << v << ") = " << m.order().DegPlus(v)
+             << ", fresh count " << later;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Replays `s` through ApplyDelta, digesting both reports and the index
+// after every delta. A twin maintainer applies the same operations one
+// at a time and checks deg+ against a fresh count after each one.
+GoldenDigests RunGolden(const GoldenStream& s, bool mirror) {
+  CoreMaintainer m;
+  m.Reset(s.g0);
+  m.SetCsrMirror(mirror);
+  CoreMaintainer single;
+  single.Reset(s.g0);
+  single.SetCsrMirror(mirror);
+  Digest order, deg_plus, impacted, applied, core_before;
+  for (size_t step = 0; step < s.deltas.size(); ++step) {
+    const EdgeDelta& delta = s.deltas[step];
+    for (VertexId v : m.ApplyDelta(delta)) impacted.Mix(v);
+    impacted.Mix(~uint64_t{0});
+    for (bool flag : m.last_applied()) applied.Mix(flag);
+    applied.Mix(~uint64_t{0});
+    for (VertexId v : m.order().FullOrder()) order.Mix(v);
+    for (VertexId v = 0; v < kGoldenN; ++v) {
+      deg_plus.Mix(m.order().DegPlus(v));
+      core_before.Mix(m.CoreBeforeMove(v));
+    }
+
+    for (const Edge& e : delta.insertions) {
+      single.InsertEdge(e.u, e.v);
+      EXPECT_TRUE(DegPlusIsFresh(single)) << "step " << step;
+    }
+    for (const Edge& e : delta.deletions) {
+      single.RemoveEdge(e.u, e.v);
+      EXPECT_TRUE(DegPlusIsFresh(single)) << "step " << step;
+    }
+    EXPECT_EQ(single.order().FullOrder(), m.order().FullOrder())
+        << "step " << step;
+    ExpectConsistent(m, "golden step " + std::to_string(step));
+  }
+  return {order.value(), deg_plus.value(), impacted.value(),
+          applied.value(), core_before.value()};
+}
+
+void ExpectGolden(const GoldenDigests& got, const GoldenDigests& want) {
+  EXPECT_EQ(got.order, want.order) << "FullOrder() drifted";
+  EXPECT_EQ(got.deg_plus, want.deg_plus) << "deg+ drifted";
+  EXPECT_EQ(got.impacted, want.impacted) << "impacted list drifted";
+  EXPECT_EQ(got.applied, want.applied) << "last_applied() drifted";
+  EXPECT_EQ(got.core_before, want.core_before)
+      << "CoreBeforeMove() drifted";
+}
+
+TEST(MaintainerGolden, WindowStreamPinsKOrder) {
+  const GoldenStream s = MakeWindowStream();
+  const GoldenDigests want = {
+      13590725794717149565ULL, 14131204925297410466ULL,
+      3391305030403960171ULL, 3482896973095952964ULL,
+      4735789347567973697ULL};
+  ExpectGolden(RunGolden(s, /*mirror=*/false), want);
+  ExpectGolden(RunGolden(s, /*mirror=*/true), want);
+}
+
+TEST(MaintainerGolden, HubChurnStreamPinsKOrder) {
+  const GoldenStream s = MakeHubChurnStream();
+  const GoldenDigests want = {
+      66399869118256105ULL, 7542965983380233423ULL,
+      16102405251884876819ULL, 10633421539947038245ULL,
+      11223780028530378281ULL};
+  ExpectGolden(RunGolden(s, /*mirror=*/false), want);
+  ExpectGolden(RunGolden(s, /*mirror=*/true), want);
 }
 
 TEST(MaintainerStats, CountersAdvance) {
