@@ -1,7 +1,7 @@
 // Google-benchmark microbenches for the library's primitives:
 // core decomposition, K-order construction, single-edge maintenance vs
 // rebuild, batch and sliding-window maintenance, follower-oracle
-// queries, and exact anchored peels.
+// queries, exact anchored peels, and the sentinel audit.
 //
 //   ./micro_benchmarks [--benchmark_filter=...]
 
@@ -10,8 +10,10 @@
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
 #include "anchor/follower_oracle.h"
+#include "core/health.h"
 #include "corelib/decomposition.h"
 #include "corelib/korder.h"
+#include "gen/churn.h"
 #include "gen/generator_source.h"
 #include "gen/models.h"
 #include "gen/temporal.h"
@@ -185,6 +187,34 @@ void BM_ApplyDeltaWindow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * edges);
 }
 BENCHMARK(BM_ApplyDeltaWindow)->Arg(2000)->Arg(5000)->Unit(
+    benchmark::kMillisecond);
+
+// One sentinel audit (sampled probe + the linear certificate pass) of a
+// maintained Chung-Lu state after a few churn deltas, as AvtEngine runs
+// it every --audit-every transactions.
+void BM_SentinelAudit(benchmark::State& state) {
+  Graph current = BenchGraph(state.range(0));
+  CoreMaintainer m;
+  m.Reset(current);
+  Rng rng(81);
+  for (int step = 0; step < 4; ++step) {
+    m.ApplyDelta(NextChurnDelta(current, ChurnOptions{}, rng));
+  }
+  AuditOptions options;
+  options.every = 1;
+  SentinelAuditor auditor(options);
+  size_t step = 0;
+  for (auto _ : state) {
+    const AuditOutcome outcome = auditor.Audit(&m.graph(), &m.order(), ++step);
+    if (!outcome.ok) {
+      state.SkipWithError(outcome.failure.c_str());
+      return;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(m.graph().NumEdges()));
+}
+BENCHMARK(BM_SentinelAudit)->Arg(50000)->Arg(200000)->Unit(
     benchmark::kMillisecond);
 
 }  // namespace

@@ -1143,8 +1143,8 @@ int main(int argc, char** argv) {
 
   // --- Gate 9 (PR 9): online integrity audit overhead ----------------
   // The streamed IncAVT workload with the sentinel auditor off / every
-  // 16 transactions / every transaction. The audit (sampled coreness
-  // probe + full K-order invariant sweep over one shared DecomposeCores)
+  // 16 transactions / every transaction. The audit (sampled vertex
+  // probe + one linear K-order certificate pass, no decomposition)
   // runs pre-commit inside the engine, so the arms are timed around
   // Drain like gate 7. An audit is a read-only cross-check: all three
   // anchor tracks AND follower counts must be bit-identical, no audit

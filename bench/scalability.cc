@@ -28,6 +28,13 @@
 // text-pipeline comparison run — and writes a JSON fragment the
 // parent embeds verbatim into BENCH_PR10.json.
 //
+// Audits: each tier's binlog pipeline runs the sentinel audit every
+// kTierAuditEvery transactions (three audits at --t=8), so its
+// pipeline_wall_ms includes them; the text comparison pipeline runs
+// none. The fragment reports audit_every, audits_run, audits_failed
+// and audit_ms, the wall time of one extra audit of the drained state.
+// A failed audit aborts the tier.
+//
 //   ./bench_scalability [--out=BENCH_PR10.json] [--workdir=scale_work]
 //                       [--n1=1000000] [--n10=10000000] [--full]
 //                       [--t=8] [--k=3] [--l=3] [--seed=42]
@@ -43,6 +50,7 @@
 
 #include "core/avt.h"
 #include "core/engine.h"
+#include "core/health.h"
 #include "core/run_summary.h"
 #include "gen/churn.h"
 #include "gen/generator_source.h"
@@ -123,13 +131,24 @@ struct PipelineResult {
   double wall_millis = 0;       // whole Drain, wall clock
   VertexId vertices = 0;
   std::vector<std::vector<VertexId>> anchors;
+  uint64_t audits_run = 0;
+  uint64_t audits_failed = 0;
+  double audit_millis = 0;  // one audit of the drained state
 };
 
+// Sentinel audit cadence of a tier's binlog pipeline, in transactions.
+constexpr size_t kTierAuditEvery = 2;
+
+// With `audit`, the engine audits every kTierAuditEvery transactions
+// inside the timed Drain, and one more audit of the drained state is
+// timed on its own (audit_millis).
 PipelineResult RunPipeline(std::unique_ptr<DeltaSource> source, uint32_t k,
-                           uint32_t l) {
+                           uint32_t l, bool audit) {
   PipelineResult result;
+  EngineOptions options;
+  if (audit) options.audit.every = kTierAuditEvery;
   auto engine = std::make_unique<AvtEngine>(
-      MakeTracker(AvtAlgorithm::kIncAvt, k, l), std::move(source));
+      MakeTracker(AvtAlgorithm::kIncAvt, k, l), std::move(source), options);
   engine->SetObserver([&](const AvtSnapshotResult& snap) {
     if (snap.t == 0) {
       result.initial_millis += snap.millis;
@@ -144,6 +163,18 @@ PipelineResult RunPipeline(std::unique_ptr<DeltaSource> source, uint32_t k,
   AVT_CHECK_MSG(status.ok(), "scalability pipeline drain failed");
   result.snapshots = engine->SnapshotsProcessed();
   result.vertices = engine->NumVertices();
+  if (!audit) return result;
+  result.audits_run = engine->auditor().audits_run();
+  result.audits_failed = engine->auditor().audits_failed();
+
+  SentinelAuditor auditor(options.audit);
+  const TrackerAuditView view = engine->tracker().AuditView();
+  timer.Start();
+  const AuditOutcome outcome =
+      auditor.Audit(view.graph, view.order, result.snapshots);
+  result.audit_millis = timer.ElapsedMillis();
+  AVT_CHECK_MSG(outcome.audited && outcome.ok,
+                "audit of the drained tier state failed");
   return result;
 }
 
@@ -177,7 +208,9 @@ int RunTierChild(const Flags& flags) {
   const VertexId declared = source->reader().num_vertices();
   const uint64_t initial_edges = source->InitialGraph().NumEdges();
 
-  PipelineResult bin = RunPipeline(std::move(source), k, l);
+  PipelineResult bin = RunPipeline(std::move(source), k, l, /*audit=*/true);
+  AVT_CHECK_MSG(bin.audits_failed == 0,
+                "scalability gate violated: a sentinel audit failed");
   // Sample the high-water mark NOW: everything after this line (the
   // text comparison pipeline) must not pollute the tier's number.
   const uint64_t peak_rss = PeakRssBytes();
@@ -190,7 +223,7 @@ int RunTierChild(const Flags& flags) {
     const uint32_t window =
         static_cast<uint32_t>(flags.GetInt("window", kWindowTicks));
     PipelineResult txt =
-        RunPipeline(MustOpenText(text, T, window), k, l);
+        RunPipeline(MustOpenText(text, T, window), k, l, /*audit=*/false);
     const bool anchors_match = bin.anchors == txt.anchors &&
                                bin.snapshots == txt.snapshots &&
                                bin.vertices == txt.vertices;
@@ -224,15 +257,22 @@ int RunTierChild(const Flags& flags) {
   std::fprintf(f, "      \"peak_rss_bytes\": %" PRIu64 ",\n", peak_rss);
   std::fprintf(f, "      \"peak_rss_mib\": %.1f,\n",
                static_cast<double>(peak_rss) / (1024.0 * 1024.0));
+  std::fprintf(f, "      \"audit_every\": %zu,\n", kTierAuditEvery);
+  std::fprintf(f, "      \"audits_run\": %" PRIu64 ",\n", bin.audits_run);
+  std::fprintf(f, "      \"audits_failed\": %" PRIu64 ",\n",
+               bin.audits_failed);
+  std::fprintf(f, "      \"audit_ms\": %.1f,\n", bin.audit_millis);
   std::fprintf(f, "      \"text_compared\": %s,\n",
                text.empty() ? "false" : "true");
   std::fprintf(f, "      \"anchors_bit_identical\": %s\n",
                anchors_verdict);
   std::fprintf(f, "    }");
   std::fclose(f);
-  std::printf("tier n=%u: %zu deltas, %.3f ms/delta, peak RSS %.1f MiB\n",
+  std::printf("tier n=%u: %zu deltas, %.3f ms/delta, peak RSS %.1f MiB, "
+              "%" PRIu64 " audits, %.1f ms/audit\n",
               bin.vertices, deltas, ms_per_delta,
-              static_cast<double>(peak_rss) / (1024.0 * 1024.0));
+              static_cast<double>(peak_rss) / (1024.0 * 1024.0),
+              bin.audits_run, bin.audit_millis);
   return 0;
 }
 

@@ -185,7 +185,7 @@ class AvtTracker {
   /// Read-only window into the tracker's REDUNDANT internal state for
   /// integrity audits (core/health.h): the maintained graph plus, when
   /// the tracker keeps one, the incrementally maintained K-order index
-  /// a fresh decomposition can be checked against. Null pointers mean
+  /// whose core numbers the audit certifies. Null pointers mean
   /// "nothing to cross-check" — the re-solve family retains only a
   /// graph copy (order stays null) and audits skip it.
   virtual TrackerAuditView AuditView() const { return {}; }

@@ -56,7 +56,7 @@ struct EngineOptions {
   bool keep_snapshots = true;
   /// Online integrity audits (core/health.h): every `audit.every`
   /// committed transactions the tracker's maintained state is
-  /// cross-checked against a fresh decomposition BEFORE the
+  /// certified against its graph (corelib/invariants.h) BEFORE the
   /// transaction commits — so a divergence is caught while the
   /// suspect transaction is still outside the WAL and rollback can
   /// rebuild the last known-good state. audit.every = 0 disables.

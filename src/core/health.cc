@@ -1,6 +1,5 @@
 #include "core/health.h"
 
-#include "corelib/decomposition.h"
 #include "corelib/invariants.h"
 #include "corelib/korder.h"
 #include "graph/graph.h"
@@ -75,30 +74,25 @@ AuditOutcome SentinelAuditor::Audit(const Graph* graph, const KOrder* order,
   outcome.audited = true;
   ++audits_run_;
 
-  // One fresh decomposition feeds both the sampled probe and the full
-  // sweep — the expensive part of the audit is paid exactly once.
-  CoreDecomposition fresh = DecomposeCores(*graph);
-
   const VertexId n = graph->NumVertices();
   if (order->NumVertices() == n && n > 0 && options_.sample > 0) {
-    // Seeded spot checks: a fresh deterministic sample per audit point,
-    // so repeated audits of the same step probe the same vertices.
+    // Seeded spot checks of the per-vertex certificate, O(deg) each: a
+    // fresh deterministic sample per audit point, so repeated audits of
+    // the same step probe the same vertices.
     Rng rng(options_.seed ^ (0x9e3779b97f4a7c15ULL * (step + 1)));
     for (uint32_t i = 0; i < options_.sample; ++i) {
       const VertexId v = static_cast<VertexId>(rng.Uniform(n));
-      if (order->CoreOf(v) != fresh.core[v]) {
+      InvariantReport probe;
+      if (!CheckVertexCertificate(*graph, *order, v, &probe)) {
         ++audits_failed_;
         outcome.ok = false;
-        outcome.failure =
-            "sampled coreness mismatch at vertex " + std::to_string(v) +
-            ": index says " + std::to_string(order->CoreOf(v)) +
-            ", fresh decomposition says " + std::to_string(fresh.core[v]);
+        outcome.failure = "sampled vertex check failed: " + probe.failure;
         return outcome;
       }
     }
   }
 
-  InvariantReport report = CheckKOrderInvariants(*graph, *order, fresh);
+  InvariantReport report = CheckKOrderInvariants(*graph, *order);
   if (!report.ok) {
     ++audits_failed_;
     outcome.ok = false;

@@ -14,11 +14,13 @@
 // terminal state.
 //
 // SentinelAuditor runs the actual integrity cross-checks: on a
-// configurable cadence it compares the tracker's incrementally
-// maintained K-order index against a fresh DecomposeCores of the same
-// graph — first K seeded per-vertex coreness spot checks (the cheap
-// sampled probe), then the full CheckKOrderInvariants sweep sharing
-// that one decomposition. The audit is strictly read-only: an audited
+// configurable cadence it certifies that the tracker's incrementally
+// maintained K-order index holds the true core numbers of its graph,
+// without recomputing them — first K seeded per-vertex certificate
+// spot checks (the cheap sampled probe), then the full
+// CheckKOrderInvariants pass, O(n + m) over links and neighbours, whose
+// local conditions hold iff the levels equal a fresh decomposition
+// (corelib/invariants.h). The audit is strictly read-only: an audited
 // run's anchors and followers are bit-identical to an unaudited one
 // (pinned by tests/self_healing_test.cc).
 
@@ -104,8 +106,8 @@ class HealthStateMachine {
 struct AuditOptions {
   /// Audit after every Nth committed delta transaction; 0 disables.
   size_t every = 0;
-  /// Seeded per-vertex coreness spot checks per audit (before the full
-  /// invariant sweep; 0 skips the sampled probe).
+  /// Seeded per-vertex certificate spot checks per audit (before the
+  /// full invariant sweep; 0 skips the sampled probe).
   uint32_t sample = 16;
   /// Seed for the per-audit sample draw; mixed with the step so every
   /// audit probes a fresh deterministic sample.
@@ -132,9 +134,9 @@ class SentinelAuditor {
     return enabled() && transaction > 0 && transaction % options_.every == 0;
   }
 
-  /// Cross-checks `order` against a fresh decomposition of `graph`.
-  /// Either pointer null → outcome.audited = false. Never mutates
-  /// anything; bounded by one O(n + m) decomposition plus the sweep.
+  /// Certifies `order` against `graph`: the sampled probe, then the
+  /// full invariant pass. Either pointer null → outcome.audited = false.
+  /// Never mutates anything; O(n + m), with no decomposition.
   AuditOutcome Audit(const Graph* graph, const KOrder* order, size_t step);
 
   uint64_t audits_run() const { return audits_run_; }

@@ -169,7 +169,7 @@ class IncAvtTracker : public AvtTracker {
   const std::vector<VertexId>& last_pool() const { return pool_; }
 
   /// The maintained graph + K-order index: exactly the redundant state
-  /// integrity audits cross-check against a fresh decomposition.
+  /// integrity audits certify against each other.
   TrackerAuditView AuditView() const override {
     return {&maintainer_.graph(), &maintainer_.order()};
   }

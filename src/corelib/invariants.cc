@@ -1,18 +1,50 @@
 #include "corelib/invariants.h"
 
+#include <string>
 #include <vector>
-
-#include "corelib/decomposition.h"
 
 namespace avt {
 
-InvariantReport CheckKOrderInvariants(const Graph& graph,
-                                      const KOrder& order) {
-  return CheckKOrderInvariants(graph, order, DecomposeCores(graph));
+bool CheckVertexCertificate(const Graph& graph, const KOrder& order,
+                            VertexId v, InvariantReport* report) {
+  const uint32_t level = order.CoreOf(v);
+  const uint64_t tag = order.TagOf(v);
+  uint32_t mcd = 0;       // neighbours at level >= level(v)
+  uint32_t deg_plus = 0;  // neighbours after v in the K-order
+  // Branch-free: whether a neighbour sits below, at or above v's level
+  // is unpredictable, and a mispredict costs more than the arithmetic.
+  // "After v" is KOrder::Precedes(v, w): a higher level, or the same
+  // level and a larger tag.
+  for (VertexId w : graph.Neighbors(v)) {
+    const uint32_t w_level = order.CoreOf(w);
+    mcd += w_level >= level;
+    deg_plus += (w_level > level) |
+                ((w_level == level) & (order.TagOf(w) > tag));
+  }
+  if (mcd < level) {
+    report->Fail("core mismatch at vertex " + std::to_string(v) +
+                 ": index says " + std::to_string(level) + ", but only " +
+                 std::to_string(mcd) + " neighbours are at that level or "
+                 "above");
+    return false;
+  }
+  if (deg_plus != order.DegPlus(v)) {
+    report->Fail("stale deg+ at vertex " + std::to_string(v) + ": stored " +
+                 std::to_string(order.DegPlus(v)) + ", actual " +
+                 std::to_string(deg_plus));
+    return false;
+  }
+  if (deg_plus > level) {
+    report->Fail("peel-order violation at vertex " + std::to_string(v) +
+                 ": deg+ " + std::to_string(deg_plus) + " > core " +
+                 std::to_string(level));
+    return false;
+  }
+  return true;
 }
 
-InvariantReport CheckKOrderInvariants(const Graph& graph, const KOrder& order,
-                                      const CoreDecomposition& fresh) {
+InvariantReport CheckKOrderInvariants(const Graph& graph,
+                                      const KOrder& order) {
   InvariantReport report;
   const VertexId n = graph.NumVertices();
   if (order.NumVertices() != n) {
@@ -20,17 +52,7 @@ InvariantReport CheckKOrderInvariants(const Graph& graph, const KOrder& order,
     return report;
   }
 
-  // 1. Cores match a fresh decomposition.
-  for (VertexId v = 0; v < n; ++v) {
-    if (order.CoreOf(v) != fresh.core[v]) {
-      report.Fail("core mismatch at vertex " + std::to_string(v) +
-                  ": index says " + std::to_string(order.CoreOf(v)) +
-                  ", decomposition says " + std::to_string(fresh.core[v]));
-      return report;
-    }
-  }
-
-  // 2. Level lists: linkage, tag monotonicity, size, full coverage.
+  // 1. Level lists: linkage, tag monotonicity, size, full coverage.
   std::vector<uint8_t> seen(n, 0);
   uint64_t total = 0;
   for (uint32_t level = 0; level <= order.MaxLevel(); ++level) {
@@ -74,24 +96,11 @@ InvariantReport CheckKOrderInvariants(const Graph& graph, const KOrder& order,
     return report;
   }
 
-  // 3 + 4. deg+ correctness and the peel-order invariant.
+  // 2–4. The two-sided core certificate plus deg+ and peel order. It
+  // relies on (level, tag) being a strict total order over all
+  // vertices, which check 1 establishes.
   for (VertexId v = 0; v < n; ++v) {
-    uint32_t recount = 0;
-    for (VertexId w : graph.Neighbors(v)) {
-      if (order.Precedes(v, w)) ++recount;
-    }
-    if (recount != order.DegPlus(v)) {
-      report.Fail("stale deg+ at vertex " + std::to_string(v) + ": stored " +
-                  std::to_string(order.DegPlus(v)) + ", actual " +
-                  std::to_string(recount));
-      return report;
-    }
-    if (recount > order.CoreOf(v)) {
-      report.Fail("peel-order violation at vertex " + std::to_string(v) +
-                  ": deg+ " + std::to_string(recount) + " > core " +
-                  std::to_string(order.CoreOf(v)));
-      return report;
-    }
+    if (!CheckVertexCertificate(graph, order, v, &report)) return report;
   }
   return report;
 }

@@ -19,8 +19,8 @@
 //     deg+(v) <= core(v)   for every vertex v,
 //
 // which is exactly the statement that concatenating the level lists gives
-// a valid peel order. `CheckInvariants` (invariants.h) verifies this plus
-// structural consistency and is called liberally from tests.
+// a valid peel order. `CheckKOrderInvariants` (invariants.h) verifies
+// this plus structural consistency and is called liberally from tests.
 
 #ifndef AVT_CORELIB_KORDER_H_
 #define AVT_CORELIB_KORDER_H_
@@ -128,6 +128,10 @@ class KOrder {
   uint64_t relabel_count() const { return relabel_count_; }
 
  private:
+  /// Test-only access for seeding structural faults (tag order, list
+  /// links) that no public mutation can produce.
+  friend class KOrderTestPeer;
+
   /// Per-vertex state is split hot/cold by access pattern. The hot
   /// struct holds exactly what the scan loops read — Precedes (level,
   /// tag), CoreOf, DegPlus — in 16 aligned bytes, so every position

@@ -316,9 +316,11 @@ std::vector<VertexId> CoreMaintainer::ApplyDelta(const EdgeDelta& delta) {
 bool CoreMaintainer::InjectIndexFaultForDrill() {
   if (graph_.NumVertices() == 0) return false;
   // Desync the index from the graph: promote the front vertex of the
-  // highest populated level one level up. CoreOf now disagrees with a
-  // fresh decomposition for that vertex — detectable by both the
-  // sampled-coreness probe and the full invariant sweep.
+  // highest populated level one level up. CoreOf now overstates that
+  // vertex's core number: it is alone above its old level, so its mcd
+  // (neighbours at its level or above) is 0 < its level, and the
+  // certificate fails at it — detectable by both the sampled probe and
+  // the full invariant pass.
   uint32_t level = order_.MaxLevel();
   for (;;) {
     const VertexId v = order_.LevelFront(level);

@@ -1,8 +1,7 @@
 // Health state machine + sentinel auditor unit tests: monotone
 // transitions with a bounded journal, audit cadence, the read-only
 // audit passing on healthy trackers and catching a drilled index
-// desync, and the precomputed-decomposition invariant overload
-// agreeing with the self-contained one.
+// desync, and its verdict equal to the decomposition-based reference.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +11,10 @@
 #include "anchor/greedy.h"
 #include "core/health.h"
 #include "core/inc_avt.h"
-#include "corelib/decomposition.h"
-#include "corelib/invariants.h"
+#include "gen/churn.h"
 #include "gen/models.h"
 #include "graph/graph.h"
+#include "invariants_reference.h"
 #include "util/random.h"
 
 namespace avt {
@@ -232,30 +231,45 @@ TEST(SentinelAuditor, DeterministicAcrossRuns) {
   EXPECT_EQ(out_a.failure, out_b.failure);
 }
 
-// --- Invariant overload ------------------------------------------------
+// --- Audit equivalence ------------------------------------------------
 
-TEST(Invariants, PrecomputedDecompositionOverloadAgrees) {
-  Graph g = TestGraph();
-  IncAvtTracker tracker(3, 3, IncAvtMode::kRestricted, IncAvtOptions{});
-  tracker.ProcessFirst(g);
-  const KOrder* order = tracker.AuditView().order;
-  ASSERT_NE(order, nullptr);
-  const Graph* graph = tracker.AuditView().graph;
+TEST(SentinelAuditor, VerdictMatchesDecompositionReference) {
+  // The decomposition-free audit must reach the verdict of the check it
+  // replaced — index cores equal to a fresh DecomposeCores plus the
+  // sweep — on a healthy tracker after deltas and after the drill, with
+  // the sampled probe on and off.
+  for (uint32_t sample : {16u, 0u}) {
+    Graph current = TestGraph();
+    IncAvtTracker tracker(3, 3, IncAvtMode::kRestricted, IncAvtOptions{});
+    tracker.ProcessFirst(current);
+    Rng rng(5);
+    ChurnOptions churn;
+    churn.min_churn = 10;
+    churn.max_churn = 20;
+    for (int step = 0; step < 4; ++step) {
+      tracker.ProcessDelta(NextChurnDelta(current, churn, rng));
+    }
 
-  InvariantReport self_contained = CheckKOrderInvariants(*graph, *order);
-  InvariantReport precomputed =
-      CheckKOrderInvariants(*graph, *order, DecomposeCores(*graph));
-  EXPECT_EQ(self_contained.ok, precomputed.ok);
-  EXPECT_EQ(self_contained.failure, precomputed.failure);
+    AuditOptions options;
+    options.every = 1;
+    options.sample = sample;
+    SentinelAuditor auditor(options);
+    TrackerAuditView view = tracker.AuditView();
+    ASSERT_NE(view.order, nullptr);
 
-  // And on a corrupted index both agree on the failure too.
-  ASSERT_TRUE(tracker.InjectAuditFaultForDrill());
-  InvariantReport bad_self = CheckKOrderInvariants(*graph, *order);
-  InvariantReport bad_pre =
-      CheckKOrderInvariants(*graph, *order, DecomposeCores(*graph));
-  EXPECT_FALSE(bad_self.ok);
-  EXPECT_EQ(bad_self.ok, bad_pre.ok);
-  EXPECT_EQ(bad_self.failure, bad_pre.failure);
+    AuditOutcome healthy = auditor.Audit(view.graph, view.order, 1);
+    EXPECT_TRUE(healthy.audited);
+    EXPECT_TRUE(ReferenceCheck(*view.graph, *view.order).ok());
+    EXPECT_EQ(healthy.ok, ReferenceCheck(*view.graph, *view.order).ok())
+        << "sample=" << sample << ": " << healthy.failure;
+
+    ASSERT_TRUE(tracker.InjectAuditFaultForDrill());
+    AuditOutcome drilled = auditor.Audit(view.graph, view.order, 2);
+    EXPECT_FALSE(ReferenceCheck(*view.graph, *view.order).ok());
+    EXPECT_EQ(drilled.ok, ReferenceCheck(*view.graph, *view.order).ok())
+        << "sample=" << sample;
+    EXPECT_EQ(auditor.audits_failed(), 1u);
+  }
 }
 
 }  // namespace

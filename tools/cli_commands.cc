@@ -1031,11 +1031,12 @@ std::string UsageText() {
       "injects seeded transient read faults (absorbed by bounded\n"
       "retries with backoff; --max-retries R); --fault-corrupt-after N\n"
       "injects a sticky corrupt frame, surfacing as exit code 4.\n"
-      "--audit-every N runs a cadenced integrity audit (K-order\n"
-      "invariants + --audit-sample K sampled core numbers against a\n"
-      "fresh decomposition) every N transactions, BEFORE the transaction\n"
-      "commits to the WAL. With --checkpoint-dir, an audit divergence\n"
-      "self-heals by checkpoint+WAL rollback; with --quarantine-dir D,\n"
+      "--audit-every N runs a cadenced integrity audit (--audit-sample\n"
+      "K sampled vertex checks + one linear pass certifying every core\n"
+      "number without re-decomposing the graph) every N transactions,\n"
+      "BEFORE the transaction commits to the WAL. With\n"
+      "--checkpoint-dir, an audit divergence self-heals by\n"
+      "checkpoint+WAL rollback; with --quarantine-dir D,\n"
       "deltas that fail validation or are isolated by bisection land in\n"
       "D/quarantine.avtq (inspect with `avt_cli quarantine D`) and the\n"
       "run continues degraded. --max-universe N rejects deltas naming\n"
