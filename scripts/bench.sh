@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Reproduces BENCH_PR2.json + BENCH_PR3.json + BENCH_PR4.json +
-# BENCH_PR5.json + BENCH_PR6.json + BENCH_PR7.json + BENCH_PR8.json +
-# BENCH_PR9.json: Release build, then the perf gate.
+# BENCH_PR5.json + BENCH_PR6.json + BENCH_PR7.json + BENCH_PR9.json:
+# Release build, then the perf gate.
 #
 #   scripts/bench.sh                 # full gates (n=50k): BENCH_PR2.json
 #                                    # + BENCH_PR3.json (thread scaling)
@@ -12,9 +12,6 @@
 #                                    #   speedup > 1 at >= 4 CPUs)
 #                                    # + BENCH_PR7.json (WAL overhead +
 #                                    #   50k-delta recovery wall time)
-#                                    # + BENCH_PR8.json (memo retention
-#                                    #   policies; ~200k-delta erase-heavy
-#                                    #   stream, LRU budget enforcement)
 #                                    # + BENCH_PR9.json (sentinel audit
 #                                    #   overhead; every-16 cadence must
 #                                    #   stay within 1.15x of audits-off)
@@ -24,7 +21,6 @@
 #                                    # + bench_smoke_pr5.json
 #                                    # + bench_smoke_pr6.json
 #                                    # + bench_smoke_pr7.json
-#                                    # + bench_smoke_pr8.json
 #                                    # + bench_smoke_pr9.json)
 #   scripts/bench.sh --stream-out=X.json   # redirect the PR-5 JSON
 #   scripts/bench.sh --scale-out=X.json    # ALSO run bench_scalability
@@ -39,8 +35,7 @@
 # per-delta workload across the three cascade-scan backings (no CSR /
 # rebuild-per-delta / delta-maintained), the three ingestion drivers
 # (materialized snapshot-pull / streamed AvtEngine / coalesced
-# windows), the four memo retention policies (memoize-all / top /
-# lru / none), and the sentinel-audit cadences (off / every-16 /
+# windows), and the sentinel-audit cadences (off / every-16 /
 # every-1), checks all outputs are bit-identical, and emits the
 # before/after JSON that docs/PERFORMANCE.md explains. Wall times move
 # with the host (the PR-3 JSON records host_cpus for that reason); the
@@ -55,7 +50,6 @@ csr_out="BENCH_PR4.json"
 stream_out="BENCH_PR5.json"
 scaling_out="BENCH_PR6.json"
 durability_out="BENCH_PR7.json"
-memo_out="BENCH_PR8.json"
 selfheal_out="BENCH_PR9.json"
 extra=()
 if [[ "${1:-}" == "--smoke" ]]; then
@@ -66,9 +60,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
   stream_out="bench_smoke_pr5.json"
   scaling_out="bench_smoke_pr6.json"
   durability_out="bench_smoke_pr7.json"
-  memo_out="bench_smoke_pr8.json"
   selfheal_out="bench_smoke_pr9.json"
-  extra+=(--n=8000 --t=6 --repeats=1 --recovery-deltas=2000 --memo-transitions=60 --audit-transitions=48)
+  extra+=(--n=8000 --t=6 --repeats=1 --recovery-deltas=2000 --audit-transitions=48)
 fi
 if [[ "${1:-}" == --stream-out=* ]]; then
   stream_out="${1#--stream-out=}"
@@ -90,9 +83,9 @@ cmake --build build -j "$jobs" --target bench_perf_gate
 ./build/bench_perf_gate --out="$out" --threads-out="$threads_out" \
   --csr-out="$csr_out" --stream-out="$stream_out" \
   --scaling-out="$scaling_out" --durability-out="$durability_out" \
-  --memo-out="$memo_out" --selfheal-out="$selfheal_out" \
+  --selfheal-out="$selfheal_out" \
   "${extra[@]}" "$@"
-echo "bench output: $out + $threads_out + $csr_out + $stream_out + $scaling_out + $durability_out + $memo_out + $selfheal_out"
+echo "bench output: $out + $threads_out + $csr_out + $stream_out + $scaling_out + $durability_out + $selfheal_out"
 
 # Scalability tier (PR 10): full stream->track->anchor pipeline at
 # n=1M driven from the binary edge log, plus the text-vs-binlog

@@ -30,7 +30,6 @@ void FollowerOracle::ResizeScratch() {
   // fraction of the graph, so these grow to their high-water mark and
   // stay there).
   unique_anchors_.reserve(64);
-  visited_.reserve(256);
   candidates_in_order_.reserve(256);
   review_.reserve(256);
   heap_.reserve(256);
@@ -47,7 +46,7 @@ uint32_t FollowerOracle::RunCascade(
     const Adjacency& adj, std::span<const VertexId> anchors, VertexId extra,
     uint32_t k, EpochArray<uint8_t>& anchor_flags, EpochArray<uint32_t>& bump,
     EpochArray<uint32_t>& deg_minus, EpochArray<uint8_t>& candidate,
-    std::vector<VertexId>& anchors_out, std::vector<VertexId>& visited_out,
+    std::vector<VertexId>& anchors_out, std::vector<VertexId>* visited_out,
     std::vector<VertexId>* candidates_out) {
   anchor_flags.Clear();
   bump.Clear();
@@ -55,7 +54,7 @@ uint32_t FollowerOracle::RunCascade(
   candidate.Clear();
   in_heap_.Clear();
   anchors_out.clear();
-  visited_out.clear();
+  if (visited_out) visited_out->clear();
   if (candidates_out) candidates_out->clear();
   heap_.clear();
 
@@ -93,7 +92,7 @@ uint32_t FollowerOracle::RunCascade(
     VertexId w = heap_.front().vertex;
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     heap_.pop_back();
-    visited_out.push_back(w);
+    if (visited_out) visited_out->push_back(w);
     ++stats_.visited;
     uint64_t upper = static_cast<uint64_t>(order_->DegPlus(w)) +
                      deg_minus.Get(w) + bump.Get(w);
@@ -120,7 +119,7 @@ uint32_t FollowerOracle::ForwardPass(const Adjacency& adj,
   eliminated_.Clear();
   support_.Clear();
   return RunCascade(adj, anchors, extra, k, anchor_, bump_, deg_minus_,
-                    candidate_, unique_anchors_, visited_,
+                    candidate_, unique_anchors_, nullptr,
                     &candidates_in_order_);
 }
 
@@ -210,7 +209,7 @@ void FollowerOracle::BuildBase(std::span<const VertexId> anchors,
   base_count_ = WithAdjacency([&](const auto& adj) {
     return RunCascade(adj, anchors, kNoVertex, k, base_anchor_, base_bump_,
                       base_deg_minus_, base_candidate_, base_anchors_,
-                      base_visited_, nullptr);
+                      &base_visited_, nullptr);
   });
 }
 

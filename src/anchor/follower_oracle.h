@@ -166,13 +166,6 @@ class FollowerOracle {
   /// that trial set), at the cost of x's marginal cascade only.
   uint32_t MarginalUpperBound(VertexId x);
 
-  /// Base dependency region (anchors + phase-1 pops), for memoization.
-  std::span<const VertexId> BaseRegionAnchors() const {
-    return base_anchors_;
-  }
-  std::span<const VertexId> BaseRegionVisited() const {
-    return base_visited_;
-  }
   /// x itself (first) plus the vertices the last MarginalUpperBound
   /// popped beyond the base region: the probe's region.
   std::span<const VertexId> LastMarginalVisited() const {
@@ -203,24 +196,12 @@ class FollowerOracle {
   void AppendBaseChange(std::span<const BaseState> snapshot,
                         std::vector<VertexId>* out);
 
-  /// Vertices whose state the most recent query (full or bound) depended
-  /// on: the unique anchors plus every vertex popped by the forward pass.
-  /// The query result is a pure function of the edges incident to this
-  /// region and of the K-order positions of region members and their
-  /// neighbors — the soundness basis for IncAVT's cross-snapshot memo
-  /// (entries are reused only while the region avoids churn-impacted
-  /// vertices). Invalidated by the next query.
-  std::span<const VertexId> LastRegionAnchors() const {
-    return unique_anchors_;
-  }
-  std::span<const VertexId> LastRegionVisited() const { return visited_; }
-
   const OracleStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
  private:
-  /// Phase 1 for anchors ∪ {extra}: fills candidate_ / candidates_in_
-  /// order_ / visited_ and returns the candidate count.
+  /// Phase 1 for anchors ∪ {extra}: fills candidate_ /
+  /// candidates_in_order_ and returns the candidate count.
   template <typename Adjacency>
   uint32_t ForwardPass(const Adjacency& adj,
                        std::span<const VertexId> anchors, VertexId extra,
@@ -239,7 +220,8 @@ class FollowerOracle {
 
   /// The phase-1 cascade, parameterized over the array bundle it writes
   /// (per-query scratch vs resident base) so both paths share one
-  /// definition. Returns the candidate count.
+  /// definition. Records the pops in `visited_out` when non-null.
+  /// Returns the candidate count.
   template <typename Adjacency>
   uint32_t RunCascade(const Adjacency& adj,
                       std::span<const VertexId> anchors, VertexId extra,
@@ -248,7 +230,7 @@ class FollowerOracle {
                       EpochArray<uint32_t>& deg_minus,
                       EpochArray<uint8_t>& candidate,
                       std::vector<VertexId>& anchors_out,
-                      std::vector<VertexId>& visited_out,
+                      std::vector<VertexId>* visited_out,
                       std::vector<VertexId>* candidates_out);
 
   template <typename Adjacency>
@@ -288,7 +270,6 @@ class FollowerOracle {
 
   // Hot vectors reused across queries (reserved by ResizeScratch).
   std::vector<VertexId> unique_anchors_;
-  std::vector<VertexId> visited_;
   std::vector<VertexId> candidates_in_order_;
   std::vector<VertexId> review_;
 

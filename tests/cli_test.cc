@@ -281,81 +281,6 @@ TEST_F(CliTest, TrackCsrBackingsAgree) {
   EXPECT_EQ(result_fields(maintained), result_fields(none));
 }
 
-TEST_F(CliTest, TrackRejectsUnknownMemoPolicy) {
-  std::string out, err;
-  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3",
-                 "--memo-policy=mru"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("unknown --memo-policy"), std::string::npos);
-  EXPECT_NE(err.find("lru"), std::string::npos);  // lists valid values
-}
-
-TEST_F(CliTest, MemoBudgetRequiresLruPolicy) {
-  std::string out, err;
-  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3",
-                 "--memo-budget=65536"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("--memo-policy=lru"), std::string::npos);
-
-  EXPECT_EQ(Run({"stream", "--dataset=CollegeMsg", "--t=3", "--k=3",
-                 "--l=3", "--memo-policy=lru", "--memo-budget=0"},
-                &out, &err),
-            2);
-  EXPECT_NE(err.find("positive byte count"), std::string::npos);
-}
-
-TEST_F(CliTest, TrackMemoPoliciesAgreeAndReportCounters) {
-  // Same result-column equality contract as the CSR knob: memo
-  // retention is a memory knob, never a result knob. The lazy default
-  // prints a memo summary line; lru under a budget must stay under it.
-  auto result_fields = [](std::string text) {
-    for (char& c : text) {
-      if (c == '|') c = ' ';
-    }
-    std::string kept;
-    std::istringstream stream(text);
-    for (std::string line; std::getline(stream, line);) {
-      std::istringstream row(line);
-      std::string t, followers, core, candidates;
-      if (row >> t >> followers >> core >> candidates &&
-          t.find_first_not_of("0123456789") == std::string::npos) {
-        kept += t + " " + followers + " " + core + " " + candidates + "\n";
-      }
-    }
-    return kept;
-  };
-  std::string all, lru, none;
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--memo-policy=all"},
-                &all),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--memo-policy=lru",
-                 "--memo-budget=16384"},
-                &lru),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--memo-policy=none"},
-                &none),
-            0);
-  EXPECT_NE(result_fields(all), "");
-  EXPECT_EQ(result_fields(all), result_fields(lru));
-  EXPECT_EQ(result_fields(all), result_fields(none));
-  EXPECT_NE(all.find("memo policy=all:"), std::string::npos);
-  EXPECT_NE(lru.find("memo policy=lru:"), std::string::npos);
-  // kNone has no memo activity, so no memo line at all.
-  EXPECT_EQ(none.find("memo policy="), std::string::npos);
-}
-
-TEST_F(CliTest, HelpMentionsMemoKnobs) {
-  std::string out;
-  ASSERT_EQ(Run({"help"}, &out), 0);
-  EXPECT_NE(out.find("--memo-policy"), std::string::npos);
-  EXPECT_NE(out.find("--memo-budget"), std::string::npos);
-}
-
 TEST_F(CliTest, AnchorsThreadedMatchesSerial) {
   std::string graph_path = TempPath("mt.txt");
   std::string serial, threaded;

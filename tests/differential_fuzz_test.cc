@@ -598,17 +598,14 @@ TEST(DifferentialFuzz, BatchedReplayMatchesPerDeltaBoundaries) {
   }
 }
 
-// PR-8 memo-policy matrix: every retention policy (memoize-all /
-// top-value-only / LRU under a tight byte budget / none) must produce
-// BIT-IDENTICAL anchors and follower counts, lazy and eager, at every
-// transition of a random churn schedule. Eviction may only ever cost
-// recomputation — a policy that changes a result has broken the
-// certified-bound contract (a stale or missing entry must degrade to a
-// fresh query, never to a wrong settle). Runs IncAvtMode::kMaintainedFull
-// so the memo sees real slot-candidate pressure (kRestricted memoizes
-// no slot entries), with gentle per-transition churn so entries survive
-// long enough for retention to matter.
-TEST(DifferentialFuzz, MemoPolicyMatrixIsBitIdentical) {
+// Full-pool lazy vs eager: IncAvtMode::kMaintainedFull searches every
+// Theorem-3 candidate at every transition, so the lazy session settles
+// the most slots on certified bounds. Its anchors and follower counts
+// must be BIT-IDENTICAL to the eager loop's at every transition of a
+// random churn schedule — a bound that under-estimated would settle a
+// slot the eager loop improves. Gentle per-transition churn keeps the
+// anchors stable, so most slots settle without a full query.
+TEST(DifferentialFuzz, FullPoolLazyMatchesEager) {
   const size_t transitions = 2 * TransitionsPerConfig();
   Rng rng(811);
   Graph g0 = ChungLuPowerLaw(200, 6.0, 2.2, 50, rng);
@@ -620,21 +617,9 @@ TEST(DifferentialFuzz, MemoPolicyMatrixIsBitIdentical) {
   }
 
   const uint32_t k = 3, l = 4;
-  struct PolicyConfig {
-    MemoPolicy policy;
-    size_t budget;
-  };
-  const PolicyConfig policies[] = {
-      {MemoPolicy::kMemoizeAll, 0},
-      {MemoPolicy::kTopValueOnly, 0},
-      {MemoPolicy::kLru, 4 * 1024},  // tight: forces real eviction
-      {MemoPolicy::kNone, 0},
-  };
-  auto run = [&](MemoPolicy policy, size_t budget, bool lazy) {
+  auto run = [&](bool lazy) {
     IncAvtOptions options;
     options.lazy = lazy;
-    options.memo_policy = policy;
-    options.memo_budget_bytes = budget;
     IncAvtTracker tracker(k, l, IncAvtMode::kMaintainedFull, options);
     std::vector<std::pair<std::vector<VertexId>, uint32_t>> track;
     AvtSnapshotResult snap = tracker.ProcessFirst(g0);
@@ -646,18 +631,11 @@ TEST(DifferentialFuzz, MemoPolicyMatrixIsBitIdentical) {
     return track;
   };
 
-  const auto baseline = run(MemoPolicy::kMemoizeAll, 0, /*lazy=*/true);
-  for (const PolicyConfig& config : policies) {
-    for (bool lazy : {true, false}) {
-      if (config.policy == MemoPolicy::kMemoizeAll && lazy) continue;
-      const auto track = run(config.policy, config.budget, lazy);
-      ASSERT_EQ(track.size(), baseline.size());
-      for (size_t t = 0; t < track.size(); ++t) {
-        ASSERT_EQ(track[t], baseline[t])
-            << "policy=" << MemoPolicyName(config.policy)
-            << " lazy=" << lazy << " t=" << t;
-      }
-    }
+  const auto lazy = run(/*lazy=*/true);
+  const auto eager = run(/*lazy=*/false);
+  ASSERT_EQ(lazy.size(), eager.size());
+  for (size_t t = 0; t < lazy.size(); ++t) {
+    ASSERT_EQ(lazy[t], eager[t]) << "t=" << t;
   }
 }
 

@@ -538,8 +538,8 @@ TEST(TrackerState, StaticTrackerRejectsDamagedBlobs) {
 }
 
 TEST(TrackerState, IncrementalTrackerDeclinesBlobs) {
-  // IncAVT's memo is history-dependent; it must decline blob
-  // checkpoints so recovery takes the full-replay path.
+  // IncAVT has no checkpoint blob yet (ROADMAP item 1); it must
+  // decline blob checkpoints so recovery takes the full-replay path.
   IncAvtTracker tracker(3, 3);
   std::string blob;
   EXPECT_FALSE(tracker.SaveCheckpointState(&blob));

@@ -93,16 +93,16 @@ TEST(LazyGreedy, UnprunedPoolStillMatches) {
 }
 
 TEST(LazyIncAvt, MatchesEagerWithFullPool) {
-  // kMaintainedFull keeps the global candidate pool, which is the one
-  // mode where per-(slot, candidate) memo entries survive across
-  // snapshots — exactly the path where a stale bound could silently
-  // change a commit if base/bound invalidation ever decoupled.
+  // kMaintainedFull searches the global candidate pool every snapshot:
+  // the widest trial-engine sessions, where most candidates are settled
+  // by certified bounds without a full query, so a bound that ever
+  // under-estimated would silently change a commit here first.
   for (uint64_t seed = 0; seed < 5; ++seed) {
     Rng rng(9500 + seed);
     Graph g0 = ChungLuPowerLaw(120, 6.0, 2.2, 40, rng);
     ChurnOptions churn;
     churn.num_snapshots = 7;
-    churn.min_churn = 5;  // low churn: maximal memo survival
+    churn.min_churn = 5;  // low churn: slots mostly settle on bounds
     churn.max_churn = 12;
     SnapshotSequence sequence = MakeChurnSnapshots(g0, churn, rng);
     IncAvtOptions eager;
@@ -124,8 +124,8 @@ TEST(LazyIncAvt, MatchesEagerWithFullPool) {
 }
 
 TEST(LazyIncAvt, MatchesEagerAcrossChurn) {
-  // Evolving sequences: the lazy swap loop (bound-gated, warm-start
-  // cache) must track the eager local search anchor-for-anchor on every
+  // Evolving sequences: the lazy swap loop (bound-gated, shared
+  // probes) must track the eager local search anchor-for-anchor on every
   // snapshot.
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Rng rng(9000 + seed);

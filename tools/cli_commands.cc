@@ -137,53 +137,6 @@ bool ParseCsrMode(const Flags& flags, FILE* err, IncAvtCsrMode* mode) {
   return true;
 }
 
-// Parses --memo-policy (default all) and --memo-budget (bytes): the
-// incremental tracker's cross-snapshot memo retention (core/avt.h).
-// Anchors are bit-identical under every policy, so the knob is purely a
-// memory/recomputation trade; --memo-budget only means something under
-// lru and is rejected elsewhere rather than silently ignored.
-bool ParseMemoPolicy(const Flags& flags, FILE* err, MemoPolicy* policy,
-                     size_t* budget_bytes) {
-  *policy = MemoPolicy::kMemoizeAll;
-  *budget_bytes = 0;
-  if (flags.Has("memo-policy")) {
-    const std::string value = flags.GetString("memo-policy", "");
-    if (value == "all") {
-      *policy = MemoPolicy::kMemoizeAll;
-    } else if (value == "top") {
-      *policy = MemoPolicy::kTopValueOnly;
-    } else if (value == "lru") {
-      *policy = MemoPolicy::kLru;
-    } else if (value == "none") {
-      *policy = MemoPolicy::kNone;
-    } else {
-      std::fprintf(err,
-                   "error: unknown --memo-policy '%s' (all, top, lru, "
-                   "none)\n",
-                   value.c_str());
-      return false;
-    }
-  }
-  if (flags.Has("memo-budget")) {
-    if (*policy != MemoPolicy::kLru) {
-      std::fprintf(err,
-                   "error: --memo-budget needs --memo-policy=lru (the "
-                   "other policies are not byte-budgeted)\n");
-      return false;
-    }
-    const int64_t value = flags.GetInt("memo-budget", -1);
-    if (value <= 0) {
-      std::fprintf(err,
-                   "error: --memo-budget must be a positive byte count "
-                   "(got '%s')\n",
-                   flags.GetString("memo-budget", "").c_str());
-      return false;
-    }
-    *budget_bytes = static_cast<size_t>(value);
-  }
-  return true;
-}
-
 bool ParseAlgorithm(const std::string& name, AvtAlgorithm* algorithm) {
   if (name == "greedy") {
     *algorithm = AvtAlgorithm::kGreedy;
@@ -349,9 +302,6 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
   if (!ParseThreads(flags, err, &num_threads)) return 2;
   IncAvtCsrMode csr_mode;
   if (!ParseCsrMode(flags, err, &csr_mode)) return 2;
-  MemoPolicy memo_policy;
-  size_t memo_budget;
-  if (!ParseMemoPolicy(flags, err, &memo_policy, &memo_budget)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -390,8 +340,7 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
     return 2;
   }
 
-  AvtRunResult run = RunAvt(sequence, algorithm, k, l, num_threads, csr_mode,
-                            /*batch_size=*/1, memo_policy, memo_budget);
+  AvtRunResult run = RunAvt(sequence, algorithm, k, l, num_threads, csr_mode);
   TablePrinter table(
       {"t", "followers", "anchored_core", "candidates", "millis"});
   for (const AvtSnapshotResult& snap : run.snapshots) {
@@ -408,18 +357,6 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
   std::fprintf(out, "workload smoothness: %.4f of (vertex, transition) "
                     "pairs keep their core number\n",
                history.Smoothness());
-  const RunSummary summary = SummarizeRun(run);
-  if (summary.memo_hits + summary.memo_misses + summary.memo_evictions > 0) {
-    std::fprintf(out,
-                 "memo policy=%s: %llu hits / %llu misses, %llu evictions, "
-                 "peak %llu KiB\n",
-                 MemoPolicyName(memo_policy),
-                 static_cast<unsigned long long>(summary.memo_hits),
-                 static_cast<unsigned long long>(summary.memo_misses),
-                 static_cast<unsigned long long>(summary.memo_evictions),
-                 static_cast<unsigned long long>(summary.memo_peak_bytes /
-                                                 1024));
-  }
   return 0;
 }
 
@@ -428,9 +365,6 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   if (!ParseThreads(flags, err, &num_threads)) return 2;
   IncAvtCsrMode csr_mode;
   if (!ParseCsrMode(flags, err, &csr_mode)) return 2;
-  MemoPolicy memo_policy;
-  size_t memo_budget;
-  if (!ParseMemoPolicy(flags, err, &memo_policy, &memo_budget)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -729,13 +663,9 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     source = std::move(poisoned);
   }
 
-  // Memo policy stays OUT of the durability fingerprint below for the
-  // same reason threads/csr do: outputs are bit-identical under every
-  // policy, so resuming a checkpointed run under a different one is
-  // sound.
   auto make_tracker = [&]() {
     return MakeTracker(algorithm, k, l, num_threads, csr_mode,
-                       static_cast<size_t>(batch), memo_policy, memo_budget);
+                       static_cast<size_t>(batch));
   };
   std::unique_ptr<AvtTracker> tracker = make_tracker();
 
@@ -966,12 +896,10 @@ std::string UsageText() {
       "  anchors  anchored k-core query        (<edge-list> --k --l "
       "[--algo] [--threads])\n"
       "  track    AVT over an evolving graph   (--dataset|--temporal --t "
-      "--k --l [--algo] [--threads] [--csr] [--memo-policy] "
-      "[--memo-budget])\n"
+      "--k --l [--algo] [--threads] [--csr])\n"
       "  stream   AVT over a delta stream      "
       "(--source=file|binlog|gen|sequence "
-      "--k --l [--coalesce-window N] [--batch N] [--memo-policy] "
-      "[--memo-budget]\n"
+      "--k --l [--coalesce-window N] [--batch N]\n"
       "           file: --temporal --t --window "
       "[--meta-tmin --meta-tmax --meta-vertices]; binlog: --binlog;\n"
       "           gen: --n --churn-min/max --seed; sequence: --dataset\n"
@@ -1005,8 +933,8 @@ std::string UsageText() {
       "already known (wrong values are rejected, not mis-windowed).\n"
       "--batch N (>= 1, default 1) sets incavt's delta-transaction width:\n"
       "the engine merges N consecutive deltas per tracker transaction, so\n"
-      "the tracker pays one invalidation walk per N deltas and reports\n"
-      "every N-th snapshot — each bit-identical to the per-delta replay at\n"
+      "the tracker builds one pool per N deltas and reports every\n"
+      "N-th snapshot — each bit-identical to the per-delta replay at\n"
       "that boundary. Other algorithms ignore it.\n"
       "--threads N (>= 1) sizes the parallel trial engine of greedy and\n"
       "incavt; results are bit-identical at every thread count (values\n"
@@ -1015,12 +943,6 @@ std::string UsageText() {
       "--csr maintained|rebuild|none picks incavt's cascade-scan backing\n"
       "(default maintained: a delta-maintained CSR patched per edge).\n"
       "Results are bit-identical across backings; only speed changes.\n"
-      "--memo-policy all|top|lru|none bounds incavt's cross-snapshot\n"
-      "trial memo (default all: memoize everything, byte-accounted).\n"
-      "top keeps one best entry per slot, lru evicts cold entries under\n"
-      "--memo-budget BYTES (lru only; default 1 MiB), none disables the\n"
-      "memo. Anchors are bit-identical under every policy — eviction\n"
-      "only costs recomputation (docs/PERFORMANCE.md).\n"
       "--checkpoint-dir D arms crash safety: every committed transaction\n"
       "is appended to D/wal.log and checkpoints are written every\n"
       "--checkpoint-every N transactions (0 = initial checkpoint only).\n"
