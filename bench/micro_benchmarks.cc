@@ -158,9 +158,8 @@ BENCHMARK(BM_BatchDelta)->Arg(100)->Arg(250);
 
 // Maintenance alone on a sliding-window stream (perfbench's window-pl50k
 // shape at a few thousand vertices): each delta replaces most of the
-// window. One iteration replays every delta through ApplyDelta with the
-// CSR mirror on, as the tracker runs it; the reset between replays is
-// untimed.
+// window. One iteration replays every delta through ApplyDelta, as the
+// tracker runs it; the reset between replays is untimed.
 void BM_ApplyDeltaWindow(benchmark::State& state) {
   Rng rng(80);
   TemporalGenOptions options;
@@ -175,7 +174,6 @@ void BM_ApplyDeltaWindow(benchmark::State& state) {
     deltas.push_back(delta);
   }
   CoreMaintainer m;
-  m.SetCsrMirror(true);
   for (auto _ : state) {
     state.PauseTiming();
     m.Reset(source.InitialGraph());

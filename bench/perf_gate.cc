@@ -16,13 +16,6 @@
 // recorded alongside because wall-clock scaling is bounded by the
 // machine; the work counters and outputs are deterministic everywhere.
 //
-// PR-4 gate — CSR maintenance for the incremental tracker: the IncAVT
-// per-delta workload across the three cascade-scan backings (no CSR /
-// rebuild-per-delta CsrView / delta-maintained DynamicCsr), emitted to
-// --csr-out with the patch-vs-rebuild ratio. Anchors are additionally
-// asserted identical for the maintained backing across
-// {lazy, eager} x threads {1, 2, 8}.
-//
 // PR-5 gate — streaming ingestion: the same IncAVT workload driven
 // three ways, emitted to --stream-out:
 //
@@ -42,7 +35,7 @@
 //   window boundary. A second check streams a generated temporal
 //   edge-list FILE (StreamingEdgeFileSource, the zero-materialization
 //   path) against the WindowSnapshots sequence across
-//   {lazy, eager} x csr {none, maintained} x threads {1, 8} and asserts
+//   {lazy, eager} x threads {1, 8} and asserts
 //   bit-identical anchors and follower counts — the acceptance matrix.
 //
 // PR-6 gate — parallel scaling after the batching/partition bugfix:
@@ -75,15 +68,14 @@
 // and the production cadence (every 16) must stay within 1.15x of the
 // unaudited wall time.
 //
-// Outputs are asserted identical between all strategies, thread counts,
-// and scan backings before any number is written: the gate measures a
+// Outputs are asserted identical between all strategies and thread
+// counts before any number is written: the gate measures a
 // speedup, never a quality trade. The JSON is intentionally flat so
 // future PRs can diff it and append their own gates alongside.
 //
 //   ./bench_perf_gate [--n=50000] [--k=3] [--l=10] [--t=12]
 //                     [--churn=150] [--repeats=3] [--out=BENCH_PR2.json]
 //                     [--threads-list=1,2,4,8] [--threads-out=BENCH_PR3.json]
-//                     [--csr-out=BENCH_PR4.json]
 //                     [--stream-out=BENCH_PR5.json] [--coalesce-window=3]
 //                     [--scaling-out=BENCH_PR6.json] [--batch=3]
 //                     [--durability-out=BENCH_PR7.json]
@@ -156,7 +148,6 @@ GateMetrics MeasureIncAvt(const SnapshotSequence& sequence, uint32_t k,
                           uint32_t l, bool lazy, int repeats,
                           std::vector<std::vector<VertexId>>* anchors_out,
                           uint32_t num_threads = 1,
-                          IncAvtCsrMode csr_mode = IncAvtCsrMode::kMaintained,
                           size_t batch_size = 1) {
   GateMetrics metrics;
   metrics.millis = 1e300;
@@ -164,7 +155,6 @@ GateMetrics MeasureIncAvt(const SnapshotSequence& sequence, uint32_t k,
     IncAvtOptions options;
     options.lazy = lazy;
     options.num_threads = num_threads;
-    options.csr = csr_mode;
     options.batch_size = batch_size;
     // All tracking rides the streaming engine; snap.millis is the
     // tracker's own per-transition timer, so the sum matches the old
@@ -398,53 +388,6 @@ int main(int argc, char** argv) {
                       incavt_by_threads.back().millis));
   }
 
-  // --- Gate 4 (PR 4): CSR maintenance for the incremental tracker ----
-  // The IncAVT per-delta workload (lazy, serial — the headline path)
-  // across the three cascade-scan backings. The maintained backing is
-  // then re-run across {lazy, eager} x threads {1, 2, 8} and every
-  // anchor track must match the no-CSR baseline bit for bit.
-  const std::string csr_out = flags.GetString("csr-out", "BENCH_PR4.json");
-  std::vector<std::vector<VertexId>> nocsr_track;
-  std::vector<std::vector<VertexId>> rebuild_track;
-  std::vector<std::vector<VertexId>> maintained_track;
-  GateMetrics inc_nocsr =
-      MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats, &nocsr_track,
-                    /*num_threads=*/1, IncAvtCsrMode::kNone);
-  GateMetrics inc_rebuild =
-      MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats, &rebuild_track,
-                    /*num_threads=*/1, IncAvtCsrMode::kRebuildPerDelta);
-  GateMetrics inc_maintained =
-      MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats,
-                    &maintained_track, /*num_threads=*/1,
-                    IncAvtCsrMode::kMaintained);
-  AVT_CHECK_MSG(nocsr_track == lazy_track,
-                "perf gate violated: csr=none IncAVT diverged");
-  AVT_CHECK_MSG(rebuild_track == nocsr_track,
-                "perf gate violated: rebuild-per-delta IncAVT diverged");
-  AVT_CHECK_MSG(maintained_track == nocsr_track,
-                "perf gate violated: maintained-CSR IncAVT diverged");
-  std::printf("incavt csr=none:       %8.2f ms/delta\n",
-              inc_nocsr.millis / deltas);
-  std::printf("incavt csr=rebuild:    %8.2f ms/delta\n",
-              inc_rebuild.millis / deltas);
-  std::printf("incavt csr=maintained: %8.2f ms/delta  (%.2fx vs none, "
-              "%.2fx vs rebuild)\n",
-              inc_maintained.millis / deltas,
-              Ratio(inc_nocsr.millis, inc_maintained.millis),
-              Ratio(inc_rebuild.millis, inc_maintained.millis));
-  for (bool strategy_lazy : {true, false}) {
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      std::vector<std::vector<VertexId>> track;
-      MeasureIncAvt(sequence, k, l, strategy_lazy, /*repeats=*/1, &track,
-                    threads, IncAvtCsrMode::kMaintained);
-      AVT_CHECK_MSG(track == nocsr_track,
-                    "perf gate violated: maintained-CSR IncAVT diverged "
-                    "in the strategy x threads matrix");
-    }
-  }
-  std::printf("incavt maintained identity matrix: {lazy, eager} x threads "
-              "{1, 2, 8} all bit-identical\n");
-
   // --- Gate 5 (PR 5): streaming ingestion ----------------------------
   // Same churn workload, three drivers. Wall time is measured OUTSIDE
   // the tracker (ingestion + tracking), because ingestion is exactly
@@ -604,7 +547,7 @@ int main(int argc, char** argv) {
   // (d) acceptance matrix — a generated temporal edge-list FILE
   // streamed with zero materialization vs the WindowSnapshots sequence
   // of the SAME file (load-order id compaction matches), across
-  // {lazy, eager} x csr {none, maintained} x threads {1, 8}.
+  // {lazy, eager} x threads {1, 8}.
   const size_t file_T = 8;
   const uint32_t file_window = 45;
   std::filesystem::path tmp_path =
@@ -626,45 +569,40 @@ int main(int argc, char** argv) {
   SnapshotSequence file_sequence =
       WindowSnapshots(reloaded.value(), file_T, file_window);
   for (bool strategy_lazy : {true, false}) {
-    for (IncAvtCsrMode mode :
-         {IncAvtCsrMode::kNone, IncAvtCsrMode::kMaintained}) {
-      for (uint32_t threads : {1u, 8u}) {
-        IncAvtOptions options;
-        options.lazy = strategy_lazy;
-        options.num_threads = threads;
-        options.csr = mode;
-        auto run_config = [&](std::unique_ptr<DeltaSource> src) {
-          AvtEngine engine(
-              std::make_unique<IncAvtTracker>(
-                  k, l, IncAvtMode::kRestricted, options),
-              std::move(src));
-          std::vector<std::vector<VertexId>> anchors;
-          std::vector<uint32_t> followers;
-          engine.SetObserver([&](const AvtSnapshotResult& snap) {
-            anchors.push_back(snap.anchors);
-            followers.push_back(snap.num_followers);
-          });
-          Status status = engine.Drain();
-          AVT_CHECK_MSG(status.ok(), status.ToString().c_str());
-          return std::make_pair(std::move(anchors), std::move(followers));
-        };
-        auto materialized =
-            run_config(std::make_unique<SequenceSource>(&file_sequence));
-        auto opened = StreamingEdgeFileSource::Open(tmp_path.string(),
-                                                    file_T, file_window);
-        AVT_CHECK_MSG(opened.ok(), opened.status().ToString().c_str());
-        auto streamed = run_config(std::move(opened).value());
-        AVT_CHECK_MSG(materialized == streamed,
-                      "perf gate violated: streamed temporal file "
-                      "diverged from materialized WindowSnapshots in the "
-                      "{strategy x csr x threads} matrix");
-      }
+    for (uint32_t threads : {1u, 8u}) {
+      IncAvtOptions options;
+      options.lazy = strategy_lazy;
+      options.num_threads = threads;
+      auto run_config = [&](std::unique_ptr<DeltaSource> src) {
+        AvtEngine engine(
+            std::make_unique<IncAvtTracker>(k, l, IncAvtMode::kRestricted,
+                                            options),
+            std::move(src));
+        std::vector<std::vector<VertexId>> anchors;
+        std::vector<uint32_t> followers;
+        engine.SetObserver([&](const AvtSnapshotResult& snap) {
+          anchors.push_back(snap.anchors);
+          followers.push_back(snap.num_followers);
+        });
+        Status status = engine.Drain();
+        AVT_CHECK_MSG(status.ok(), status.ToString().c_str());
+        return std::make_pair(std::move(anchors), std::move(followers));
+      };
+      auto materialized =
+          run_config(std::make_unique<SequenceSource>(&file_sequence));
+      auto opened = StreamingEdgeFileSource::Open(tmp_path.string(), file_T,
+                                                  file_window);
+      AVT_CHECK_MSG(opened.ok(), opened.status().ToString().c_str());
+      auto streamed = run_config(std::move(opened).value());
+      AVT_CHECK_MSG(materialized == streamed,
+                    "perf gate violated: streamed temporal file diverged "
+                    "from materialized WindowSnapshots in the "
+                    "{strategy x threads} matrix");
     }
   }
   std::filesystem::remove(tmp_path);
   std::printf("stream acceptance matrix: file-streamed == materialized "
-              "for {lazy, eager} x csr {none, maintained} x threads "
-              "{1, 8}\n");
+              "for {lazy, eager} x threads {1, 8}\n");
 
   // --- Gate 6 (PR 6): parallel scaling after the batching fix --------
   // BENCH_PR3 recorded the defect this PR fixes: the per-shard trial
@@ -729,7 +667,7 @@ int main(int argc, char** argv) {
     for (uint32_t threads : {1u, 8u}) {
       std::vector<std::vector<VertexId>> track;
       MeasureIncAvt(sequence, k, l, /*lazy=*/true, /*repeats=*/1, &track,
-                    threads, IncAvtCsrMode::kMaintained, b);
+                    threads, b);
       AVT_CHECK_MSG(track == expected,
                     "perf gate violated: batched IncAVT diverged from "
                     "the net-delta mirror replay");
@@ -748,7 +686,7 @@ int main(int argc, char** argv) {
     std::vector<std::vector<VertexId>> track;
     incavt_batched_by_threads.push_back(
         MeasureIncAvt(sequence, k, l, /*lazy=*/true, repeats, &track,
-                      threads, IncAvtCsrMode::kMaintained, gate6_batch));
+                      threads, gate6_batch));
     AVT_CHECK_MSG(track == batched_expected,
                   "perf gate violated: batched IncAVT diverged across "
                   "thread counts");
@@ -1073,44 +1011,6 @@ int main(int argc, char** argv) {
   std::fclose(tf);
   std::printf("wrote %s\n", threads_out.c_str());
 
-  // --- Emit BENCH_PR4.json (CSR maintenance) -------------------------
-  FILE* cf = std::fopen(csr_out.c_str(), "w");
-  AVT_CHECK_MSG(cf != nullptr, "cannot open csr-maintenance output file");
-  std::fprintf(cf, "{\n");
-  std::fprintf(cf, "  \"bench\": \"perf_gate_csr_maintenance\",\n");
-  std::fprintf(cf, "  \"pr\": 4,\n");
-  std::fprintf(
-      cf,
-      "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
-      "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
-      "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"threads\": 1},\n",
-      n, k, l, T, churn, churn + 100, seed, repeats);
-  std::fprintf(cf, "  \"incavt_per_delta\": {\n");
-  PrintMetrics(cf, "no_csr", inc_nocsr, ",");
-  PrintMetrics(cf, "rebuild_per_delta", inc_rebuild, ",");
-  PrintMetrics(cf, "maintained", inc_maintained, ",");
-  std::fprintf(cf, "    \"maintained_vs_no_csr_wall_ratio\": %.3f,\n",
-               inc_nocsr.millis > 0
-                   ? inc_maintained.millis / inc_nocsr.millis
-                   : 0.0);
-  std::fprintf(cf, "    \"maintained_vs_rebuild_wall_ratio\": %.3f,\n",
-               inc_rebuild.millis > 0
-                   ? inc_maintained.millis / inc_rebuild.millis
-                   : 0.0);
-  std::fprintf(cf, "    \"patch_vs_rebuild_wall_speedup\": %.2f,\n",
-               Ratio(inc_rebuild.millis, inc_maintained.millis));
-  std::fprintf(cf, "    \"maintained_speedup_vs_no_csr\": %.2f\n",
-               Ratio(inc_nocsr.millis, inc_maintained.millis));
-  std::fprintf(cf, "  },\n");
-  std::fprintf(cf,
-               "  \"identity_matrix\": {\"strategies\": [\"lazy\", "
-               "\"eager\"], \"threads\": [1, 2, 8]},\n");
-  std::fprintf(cf, "  \"identical_outputs\": true\n");
-  std::fprintf(cf, "}\n");
-  std::fclose(cf);
-  std::printf("wrote %s\n", csr_out.c_str());
-
   // --- Emit BENCH_PR5.json (streaming ingestion) ---------------------
   FILE* sf = std::fopen(stream_out.c_str(), "w");
   AVT_CHECK_MSG(sf != nullptr, "cannot open stream-ingestion output file");
@@ -1122,7 +1022,7 @@ int main(int argc, char** argv) {
       "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
       "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
       "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"threads\": 1, \"csr\": \"maintained\", "
+      "\"strategy\": \"lazy\", \"threads\": 1, "
       "\"coalesce_window\": %zu},\n",
       n, k, l, T, churn, churn + 100, seed, repeats, coalesce_window);
   std::fprintf(sf, "  \"incavt_ingestion\": {\n");
@@ -1150,7 +1050,7 @@ int main(int argc, char** argv) {
   std::fprintf(sf,
                "  \"acceptance_matrix\": {\"source\": "
                "\"StreamingEdgeFileSource\", \"strategies\": [\"lazy\", "
-               "\"eager\"], \"csr\": [\"none\", \"maintained\"], "
+               "\"eager\"], "
                "\"threads\": [1, 8], \"coalesce_window_identity\": 1},\n");
   std::fprintf(sf, "  \"identical_outputs\": true\n");
   std::fprintf(sf, "}\n");
@@ -1168,7 +1068,7 @@ int main(int argc, char** argv) {
       "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
       "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
       "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"csr\": \"maintained\", \"batch\": %zu},\n",
+      "\"strategy\": \"lazy\", \"batch\": %zu},\n",
       n, k, l, T, churn, churn + 100, seed, repeats, gate6_batch);
   std::fprintf(gf, "  \"host_cpus\": %u,\n", host_cpus);
   std::fprintf(gf, "  \"wall_assert\": \"%s\",\n", wall_assert);
@@ -1209,7 +1109,7 @@ int main(int argc, char** argv) {
       "  \"config\": {\"n\": %u, \"avg_degree\": 8.0, \"alpha\": 2.1, "
       "\"k\": %u, \"l\": %u, \"snapshots\": %zu, \"churn_min\": %u, "
       "\"churn_max\": %u, \"seed\": %" PRIu64 ", \"repeats\": %d, "
-      "\"strategy\": \"lazy\", \"csr\": \"maintained\", "
+      "\"strategy\": \"lazy\", "
       "\"checkpoint_every\": %zu},\n",
       n, k, l, T, churn, churn + 100, seed, repeats,
       gate7_checkpoint_every);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "graph/dynamic_csr.h"
-
 namespace avt {
 
 void FollowerOracle::ResizeScratch() {
@@ -167,7 +165,6 @@ uint32_t FollowerOracle::Eliminate(const Adjacency& adj, uint32_t k,
 
 template <typename F>
 decltype(auto) FollowerOracle::WithAdjacency(F&& f) {
-  if (dcsr_ != nullptr) return f(*dcsr_);
   if (csr_ != nullptr) return f(*csr_);
   return f(*graph_);
 }

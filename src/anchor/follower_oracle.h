@@ -42,11 +42,11 @@
 // probe thousands of hypothetical sets per snapshot. Every cascade is
 // templated over an adjacency view — any type exposing
 // Neighbors(v) -> contiguous span in Graph's iteration order — so the
-// oracle scans whichever backing the caller binds: the dynamic
-// adjacency itself, a frozen CsrView (one-shot solvers), or a
-// delta-maintained DynamicCsr that the CoreMaintainer patches in place
-// under churn (the incremental tracker). All three iterate neighbors in
-// the identical order, so results are bit-identical across backings.
+// oracle scans whichever backing the caller binds: the graph itself
+// (the incremental tracker scans the maintainer's graph as churn
+// mutates it) or a frozen CsrView snapshot of it (one-shot solvers).
+// Both iterate neighbors in the identical order, so results are
+// bit-identical across backings.
 
 #ifndef AVT_ANCHOR_FOLLOWER_ORACLE_H_
 #define AVT_ANCHOR_FOLLOWER_ORACLE_H_
@@ -60,8 +60,6 @@
 #include "util/epoch.h"
 
 namespace avt {
-
-class DynamicCsr;
 
 /// Work counters for a follower query (paper's "visited vertices").
 struct OracleStats {
@@ -77,31 +75,18 @@ struct OracleStats {
 /// The referenced structures must outlive the oracle and stay consistent
 /// (rebuild/maintain them through CoreMaintainer). An optional CsrView
 /// snapshot of the same graph routes all neighbor scans through
-/// contiguous storage; the caller must keep it in sync with the graph
-/// (drop it via set_csr(nullptr) before mutating). Alternatively a
-/// delta-maintained DynamicCsr — patched in lockstep with the graph by
-/// CoreMaintainer — keeps the contiguous path live under churn; when
-/// both are bound the maintained view wins.
+/// contiguous storage; it does not follow later mutations, so only
+/// callers that never mutate the graph (the one-shot solvers) bind one.
 class FollowerOracle {
  public:
   FollowerOracle(const Graph* graph, const KOrder* order,
-                 const CsrView* csr = nullptr,
-                 const DynamicCsr* dynamic_csr = nullptr)
-      : graph_(graph), order_(order), csr_(csr), dcsr_(dynamic_csr) {
+                 const CsrView* csr = nullptr)
+      : graph_(graph), order_(order), csr_(csr) {
     ResizeScratch();
   }
 
   /// Re-binds after the underlying graph/order changed size.
   void ResizeScratch();
-
-  /// Swaps the contiguous adjacency snapshot (nullptr = scan the graph).
-  void set_csr(const CsrView* csr) { csr_ = csr; }
-
-  /// Swaps the maintained adjacency mirror (nullptr = fall back to the
-  /// frozen CsrView, then the graph).
-  void set_dynamic_csr(const DynamicCsr* dynamic_csr) {
-    dcsr_ = dynamic_csr;
-  }
 
   /// Returns |F_k(anchors)|; optionally materializes the follower set
   /// (K-order position order). Anchors inside the k-core contribute
@@ -215,7 +200,6 @@ class FollowerOracle {
   const Graph* graph_;
   const KOrder* order_;
   const CsrView* csr_;
-  const DynamicCsr* dcsr_;
   OracleStats stats_;
 
   /// The phase-1 cascade, parameterized over the array bundle it writes
@@ -236,9 +220,9 @@ class FollowerOracle {
   template <typename Adjacency>
   uint32_t MarginalUpperBoundImpl(const Adjacency& adj, VertexId x);
 
-  /// Single definition of the backing precedence (maintained mirror,
-  /// then frozen snapshot, then dynamic adjacency): every query entry
-  /// point dispatches through this so the rule cannot drift per method.
+  /// Single definition of the backing choice (the frozen snapshot when
+  /// bound, else the graph): every query entry point dispatches through
+  /// this so the rule cannot drift per method.
   template <typename F>
   decltype(auto) WithAdjacency(F&& f);
 

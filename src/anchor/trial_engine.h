@@ -92,15 +92,11 @@ struct TrialOutcome {
 /// read-only (graph, order[, csr]) triple. The referenced structures must
 /// outlive the engine and stay unchanged during a session; after the
 /// graph/order are maintained in place (IncAVT), the next session simply
-/// reads the new state. `dynamic_csr` (optional) binds every worker
-/// oracle to one shared delta-maintained adjacency mirror: the
-/// maintainer patches it between sessions and workers only read it, so
-/// the sharing is race-free and the scans stay contiguous across the
-/// whole stream.
+/// reads the new state.
 class TrialEngine {
  public:
   TrialEngine(const Graph* graph, const KOrder* order, const CsrView* csr,
-              uint32_t num_threads, const DynamicCsr* dynamic_csr = nullptr);
+              uint32_t num_threads);
 
   uint32_t num_threads() const { return num_threads_; }
 

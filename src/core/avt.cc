@@ -124,7 +124,6 @@ Status StaticAvtTracker::RestoreCheckpointState(const std::string& blob) {
 
 std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
                                         uint32_t l, uint32_t num_threads,
-                                        IncAvtCsrMode csr_mode,
                                         size_t batch_size) {
   switch (algorithm) {
     case AvtAlgorithm::kGreedy: {
@@ -145,7 +144,6 @@ std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
     case AvtAlgorithm::kIncAvt: {
       IncAvtOptions options;
       options.num_threads = num_threads;
-      options.csr = csr_mode;
       options.batch_size = batch_size;
       return std::make_unique<IncAvtTracker>(k, l, IncAvtMode::kRestricted,
                                              options);
@@ -156,9 +154,9 @@ std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
 
 AvtRunResult RunAvt(const SnapshotSequence& sequence, AvtAlgorithm algorithm,
                     uint32_t k, uint32_t l, uint32_t num_threads,
-                    IncAvtCsrMode csr_mode, size_t batch_size) {
+                    size_t batch_size) {
   std::unique_ptr<AvtTracker> tracker =
-      MakeTracker(algorithm, k, l, num_threads, csr_mode, batch_size);
+      MakeTracker(algorithm, k, l, num_threads, batch_size);
   AVT_CHECK(tracker != nullptr);
   // Every run — bench, CLI, test — rides the streaming engine; the
   // sequence adapter re-emits deltas verbatim, so this is bit-identical

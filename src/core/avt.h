@@ -43,23 +43,6 @@ enum class AvtAlgorithm {
 
 const char* AvtAlgorithmName(AvtAlgorithm algorithm);
 
-/// Adjacency backing for the incremental tracker's cascade scans (the
-/// knob lives here so the runner/CLI can set it without pulling in
-/// inc_avt.h; see IncAvtOptions).
-enum class IncAvtCsrMode {
-  /// Scan the maintainer's dynamic per-vertex adjacency (the pre-PR-4
-  /// behavior; the differential baseline).
-  kNone,
-  /// Snapshot a fresh CsrView from the maintained graph after every
-  /// delta — contiguous scans bought with an O(n + m) rebuild per
-  /// transition (the ablation arm the perf gate measures patching
-  /// against).
-  kRebuildPerDelta,
-  /// Delta-maintained DynamicCsr patched in place by the maintainer
-  /// (default): contiguous scans with O(churn) maintenance per delta.
-  kMaintained,
-};
-
 /// Per-snapshot tracking output.
 struct AvtSnapshotResult {
   size_t t = 0;
@@ -209,25 +192,23 @@ class StaticAvtTracker : public AvtTracker {
 
 /// Runs one algorithm over a whole snapshot sequence. `num_threads`
 /// sizes the trial engine of the algorithms that have one (Greedy,
-/// IncAVT); the other algorithms ignore it. `csr_mode` selects IncAVT's
-/// cascade-scan backing (ignored by the other algorithms). Output is
-/// bit-identical at every thread count and every csr mode. `batch_size`
-/// sets IncAVT's delta-transaction width (ignored by the re-solve
-/// families, whose per-snapshot cost has no per-delta fixed part): with
-/// N > 1 the engine merges N consecutive deltas per transaction, so the
-/// run reports one result per BATCH BOUNDARY snapshot — each
-/// bit-identical to the per-delta replay's result at that snapshot
-/// (tests/differential_fuzz_test.cc pins this).
+/// IncAVT); the other algorithms ignore it. Output is bit-identical at
+/// every thread count. `batch_size` sets IncAVT's delta-transaction
+/// width (ignored by the re-solve families, whose per-snapshot cost
+/// has no per-delta fixed part): with N > 1 the engine merges N
+/// consecutive deltas per transaction, so the run reports one result
+/// per BATCH BOUNDARY snapshot — each bit-identical to the per-delta
+/// replay's result at that snapshot (tests/differential_fuzz_test.cc
+/// pins this).
 AvtRunResult RunAvt(const SnapshotSequence& sequence, AvtAlgorithm algorithm,
                     uint32_t k, uint32_t l, uint32_t num_threads = 1,
-                    IncAvtCsrMode csr_mode = IncAvtCsrMode::kMaintained,
                     size_t batch_size = 1);
 
-/// Factory for trackers (IncAVT included). `num_threads` / `csr_mode` /
-/// `batch_size` as in RunAvt.
-std::unique_ptr<AvtTracker> MakeTracker(
-    AvtAlgorithm algorithm, uint32_t k, uint32_t l, uint32_t num_threads = 1,
-    IncAvtCsrMode csr_mode = IncAvtCsrMode::kMaintained, size_t batch_size = 1);
+/// Factory for trackers (IncAVT included). `num_threads` / `batch_size`
+/// as in RunAvt.
+std::unique_ptr<AvtTracker> MakeTracker(AvtAlgorithm algorithm, uint32_t k,
+                                        uint32_t l, uint32_t num_threads = 1,
+                                        size_t batch_size = 1);
 
 }  // namespace avt
 

@@ -30,22 +30,12 @@ AvtSnapshotResult IncAvtTracker::ProcessFirst(const Graph& g0) {
   // Greedy algorithm (lazy pick loop unless the tracker is eager — both
   // produce identical anchors).
   maintainer_.Reset(g0);
-  maintainer_.SetCsrMirror(options_.csr == IncAvtCsrMode::kMaintained);
-  // Scan backing per options_.csr: the maintained mirror (patched in
-  // place, stable pointer), the per-delta rebuilt snapshot (stable
-  // member, refilled before every use), or the dynamic adjacency. The
-  // engine's per-worker oracles share the same backing read-only; its
-  // worker-0 oracle is also this tracker's serial oracle.
-  rebuilt_csr_ = CsrView{};
-  const CsrView* frozen = nullptr;
-  if (options_.csr == IncAvtCsrMode::kRebuildPerDelta) {
-    maintainer_.graph().BuildCsr(&rebuilt_csr_);
-    frozen = &rebuilt_csr_;
-  }
+  // The engine's per-worker oracles scan the maintainer's graph
+  // read-only; its worker-0 oracle is also this tracker's serial oracle.
   engine_ = std::make_unique<TrialEngine>(&maintainer_.graph(),
-                                          &maintainer_.order(), frozen,
-                                          options_.num_threads,
-                                          maintainer_.csr());
+                                          &maintainer_.order(),
+                                          /*csr=*/nullptr,
+                                          options_.num_threads);
   // The first solve runs on the maintainer's graph and K-order and this
   // tracker's engine: no second adjacency, K-order or oracle set. Its
   // Theorem-3 scan also seeds the candidate index.
@@ -142,13 +132,6 @@ AvtSnapshotResult IncAvtTracker::ProcessDelta(const EdgeDelta& delta) {
 
   const Graph& g = maintainer_.graph();
   const KOrder& order = maintainer_.order();
-
-  // kRebuildPerDelta ablation: snapshot the post-delta adjacency into
-  // the bound CsrView before any oracle scan. The maintained mirror
-  // (kMaintained) needs nothing here — ApplyDelta already patched it.
-  if (options_.csr == IncAvtCsrMode::kRebuildPerDelta) {
-    g.BuildCsr(&rebuilt_csr_);
-  }
 
   // Step 3: replacement pool. The published algorithm (kRestricted)
   // takes impacted vertices and their neighbors, outside C_k, passing

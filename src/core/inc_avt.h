@@ -2,7 +2,9 @@
 //
 // State carried between snapshots:
 //   * CoreMaintainer — graph + K-order kept consistent by the bounded
-//     maintenance of Algorithms 4/5 (no per-snapshot rebuild);
+//     maintenance of Algorithms 4/5 (no per-snapshot rebuild). Its
+//     graph is the tracker's only adjacency: the cascades, the
+//     candidate index and every oracle scan read it;
 //   * the previous anchor set S_{t-1};
 //   * a Theorem-3 candidate index (anchor/candidate_index.h): every
 //     vertex's verdict plus, per vertex, its candidate neighbours.
@@ -84,15 +86,6 @@ struct IncAvtOptions {
   /// counters are bit-identical to the serial session at every thread
   /// count (tests/parallel_determinism_test.cc).
   uint32_t num_threads = 1;
-  /// Cascade-scan backing (enum in core/avt.h). kMaintained (default)
-  /// has the CoreMaintainer patch a DynamicCsr in lockstep with the
-  /// graph, so every oracle scan — serial and per-worker — reads
-  /// contiguous slabs with no per-delta rebuild; kRebuildPerDelta
-  /// snapshots a fresh CsrView each transition; kNone scans the dynamic
-  /// adjacency. All three backings iterate neighbors in the identical
-  /// order, so anchors are bit-identical across modes (pinned by the
-  /// differential fuzz and the PR-4 perf gate).
-  IncAvtCsrMode csr = IncAvtCsrMode::kMaintained;
   /// Delta-transaction width the tracker requests from the driving
   /// engine (AvtEngine honors it via AvtTracker::PreferredBatchSize).
   /// With N > 1 the engine merges N consecutive source deltas into one
@@ -117,8 +110,8 @@ class IncAvtTracker : public AvtTracker {
   AvtSnapshotResult ProcessFirst(const Graph& g0) override;
   AvtSnapshotResult ProcessDelta(const EdgeDelta& delta) override;
   /// Streaming growth: new isolated vertices join the maintained graph,
-  /// K-order (back of level 0), CSR mirror, the oracle/engine scratch,
-  /// and this tracker's per-vertex state. An isolated vertex changes no
+  /// K-order (back of level 0), the oracle/engine scratch, and this
+  /// tracker's per-vertex state. An isolated vertex changes no
   /// follower count, so the anchors stay valid.
   void EnsureVertices(VertexId count) override;
   size_t PreferredBatchSize() const override {
@@ -164,16 +157,11 @@ class IncAvtTracker : public AvtTracker {
   IncAvtOptions options_;
   size_t t_ = 0;
   CoreMaintainer maintainer_;
-  /// Slot-trial evaluator bound to the maintainer's graph/order plus
-  /// whichever CSR backing options_.csr selects (the per-worker oracles
-  /// share the maintained mirror read-only). Its worker-0 oracle serves
-  /// the tracker's own serial queries, so threads=1 holds one oracle.
+  /// Slot-trial evaluator bound to the maintainer's graph and K-order:
+  /// every oracle scan, serial and per-worker, reads the one maintained
+  /// adjacency. Its worker-0 oracle serves the tracker's own serial
+  /// queries, so threads=1 holds one oracle.
   std::unique_ptr<TrialEngine> engine_;
-  /// kRebuildPerDelta scratch: filled from the maintained graph in
-  /// ProcessFirst and refilled at the start of every ProcessDelta
-  /// (caller-owned buffers, so the rebuild reuses its high-water
-  /// allocation). Stable address — the engine binds it once.
-  CsrView rebuilt_csr_;
   std::vector<VertexId> anchors_;
   /// Theorem-3 verdicts and candidate-neighbour lists, updated from each
   /// ApplyDelta's report (unused by kCarryForward, which has no pool).

@@ -86,25 +86,22 @@ bool Graph::AddEdge(VertexId u, VertexId v) {
   return true;
 }
 
-bool Graph::RemoveEdge(VertexId u, VertexId v, ErasedSlots* slots) {
+bool Graph::RemoveEdge(VertexId u, VertexId v) {
   AVT_CHECK_MSG(u < NumVertices() && v < NumVertices(),
                 "RemoveEdge endpoint out of range (grow with EnsureVertex)");
   if (u == v) return false;
-  // Swap-with-back erase; returns the erased index, or kAbsent.
-  constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
+  // Swap-with-back erase; returns false when `target` is absent.
   auto erase_one = [this](VertexId from, VertexId target) {
     auto& list = adjacency_[from];
     const auto it = std::find(list.begin(), list.end(), target);
-    if (it == list.end()) return kAbsent;
+    if (it == list.end()) return false;
     *it = list.back();
     list.pop_back();
-    return static_cast<uint32_t>(it - list.begin());
+    return true;
   };
-  const uint32_t in_u = erase_one(u, v);
-  if (in_u == kAbsent) return false;
-  const uint32_t in_v = erase_one(v, u);
-  AVT_CHECK(in_v != kAbsent);
-  if (slots != nullptr) *slots = ErasedSlots{in_u, in_v};
+  if (!erase_one(u, v)) return false;
+  const bool symmetric = erase_one(v, u);
+  AVT_CHECK(symmetric);
   --num_edges_;
   return true;
 }

@@ -88,17 +88,8 @@ class Graph {
   /// already exists or u == v.
   bool AddEdge(VertexId u, VertexId v);
 
-  /// Where a removal erased the edge: its index in u's list and in v's
-  /// list. Each slot now holds its list's former back entry.
-  struct ErasedSlots {
-    uint32_t in_u = 0;
-    uint32_t in_v = 0;
-  };
-
-  /// Removes edge (u, v). Returns false if absent. On success `slots`,
-  /// when given, receives the two erased positions, so a mirror with the
-  /// same neighbor order (DynamicCsr) can erase there without a scan.
-  bool RemoveEdge(VertexId u, VertexId v, ErasedSlots* slots = nullptr);
+  /// Removes edge (u, v). Returns false if absent.
+  bool RemoveEdge(VertexId u, VertexId v);
 
   bool HasEdge(VertexId u, VertexId v) const;
 
@@ -122,9 +113,9 @@ class Graph {
   CsrView BuildCsr() const;
 
   /// Same snapshot into caller-owned buffers: `out`'s vectors are
-  /// resized in place, so a view reused across solves (per-snapshot
-  /// solvers, the rebuild-per-delta tracker arm) stops reallocating
-  /// offsets/targets once it reaches its high-water capacity.
+  /// resized in place, so a view reused across per-snapshot solves
+  /// stops reallocating offsets/targets once it reaches its high-water
+  /// capacity.
   void BuildCsr(CsrView* out) const;
 
   /// Average degree 2m/n (0 for empty graph).

@@ -10,7 +10,6 @@ void CoreMaintainer::Reset(const Graph& graph) {
   order_.Build(graph_);
   stats_.Reset();
   last_applied_.clear();
-  if (csr_enabled_) csr_.Rebuild(graph_);
   const size_t n = graph_.NumVertices();
   insert_.Resize(n);
   cd_.Resize(n);
@@ -24,25 +23,11 @@ void CoreMaintainer::EnsureVertices(VertexId count) {
     graph_.AddVertex();
     order_.AddVertex();
   }
-  if (csr_enabled_) csr_.EnsureVertices(count);
   const size_t n = graph_.NumVertices();
   insert_.Grow(n);
   cd_.Grow(n);
   dropped_.Grow(n);
   affected_mark_.Grow(n);
-}
-
-void CoreMaintainer::SetCsrMirror(bool enabled) {
-  // An enabled mirror is kept in lockstep by every mutation (and Reset
-  // rebuilds it), so re-enabling is a no-op — no redundant O(n + m)
-  // rebuild when a tracker re-initializes.
-  if (enabled == csr_enabled_) return;
-  csr_enabled_ = enabled;
-  if (enabled) {
-    csr_.Rebuild(graph_);
-  } else {
-    csr_ = DynamicCsr{};
-  }
 }
 
 void CoreMaintainer::MarkAffected(VertexId v) {
@@ -61,7 +46,6 @@ void CoreMaintainer::MarkMoved(VertexId v) {
 
 bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
   if (!graph_.AddEdge(u, v)) return false;
-  if (csr_enabled_) csr_.AddEdge(u, v);
   ++stats_.edges_inserted;
 
   // Lemma 1: the endpoint earlier in K-order gains a later neighbor.
@@ -74,17 +58,11 @@ bool CoreMaintainer::InsertEdge(VertexId u, VertexId v) {
   // Lemma 2: core numbers can only change when deg+(root) exceeds its
   // core number.
   if (order_.DegPlus(root) <= level) return true;
-  if (csr_enabled_) {
-    RunInsertCascade(csr_, root, level);
-  } else {
-    RunInsertCascade(graph_, root, level);
-  }
+  RunInsertCascade(root, level);
   return true;
 }
 
-template <typename Adjacency>
-void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
-                                      uint32_t level) {
+void CoreMaintainer::RunInsertCascade(VertexId root, uint32_t level) {
   ++stats_.cascades;
   insert_.Clear();
   heap_.clear();
@@ -117,7 +95,7 @@ void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
     slot.candidate = true;
     candidates_.push_back(w);
     uint32_t support = 0;
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       const uint32_t core = order_.CoreOf(x);
       if (core != level) {
         if (core > level) ++support;
@@ -162,7 +140,7 @@ void CoreMaintainer::RunInsertCascade(const Adjacency& adj, VertexId root,
     // With every candidate eliminated there is no support to take back.
     if (eliminated_list_.size() == candidates_.size()) continue;
     const uint64_t tag = order_.TagOf(w);
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       if (!insert_.Get(x).candidate) continue;
       InsertSlot& survivor = insert_.Mutable(x);
       if (order_.TagOf(x) > tag) --survivor.deg_minus;
@@ -197,13 +175,11 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   // no-op — never an assertion, because external input must not be
   // able to abort the process. The graph mutates first; the index is
   // touched only once the removal actually happened.
-  Graph::ErasedSlots slots;
-  if (!graph_.RemoveEdge(u, v, &slots)) return false;
+  if (!graph_.RemoveEdge(u, v)) return false;
   // Fix deg+ of the earlier endpoint now that its later neighbor is
   // gone (Lemma 1, mirrored).
   VertexId earlier = order_.Precedes(u, v) ? u : v;
   order_.IncrementDegPlus(earlier, -1);
-  if (csr_enabled_) csr_.RemoveEdge(u, v, slots);
   ++stats_.edges_removed;
   MarkAffected(u);
   MarkAffected(v);
@@ -217,17 +193,11 @@ bool CoreMaintainer::RemoveEdge(VertexId u, VertexId v) {
   size_t num_seeds = 0;
   if (ku == level) seeds[num_seeds++] = u;
   if (kv == level) seeds[num_seeds++] = v;
-  if (csr_enabled_) {
-    RunRemoveCascade(csr_, {seeds, num_seeds}, level);
-  } else {
-    RunRemoveCascade(graph_, {seeds, num_seeds}, level);
-  }
+  RunRemoveCascade({seeds, num_seeds}, level);
   return true;
 }
 
-template <typename Adjacency>
-void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
-                                      std::span<const VertexId> seeds,
+void CoreMaintainer::RunRemoveCascade(std::span<const VertexId> seeds,
                                       uint32_t level) {
   cd_.Clear();
   dropped_.Clear();
@@ -244,7 +214,7 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
   auto touch = [&](VertexId w) {
     if (cd_.Contains(w)) return;
     uint32_t count = 0;
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       if (effective_core(x, level) >= level) ++count;
     }
     cd_.Set(w, count);
@@ -270,7 +240,7 @@ void CoreMaintainer::RunRemoveCascade(const Adjacency& adj,
     MarkAffected(w);
     const uint64_t tag = order_.TagOf(w);
     uint32_t later = 0;
-    for (VertexId x : adj.Neighbors(w)) {
+    for (VertexId x : graph_.Neighbors(w)) {
       const uint32_t core = order_.CoreOf(x);
       if (core < level || dropped_.Get(x)) continue;
       ++later;

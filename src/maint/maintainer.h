@@ -36,6 +36,9 @@
 // "Exact maintenance cascades"). The scratch is epoch-stamped and the
 // work lists are reused members, so a cascade allocates nothing.
 //
+// The cascades scan graph_ directly: the maintainer keeps no second copy
+// of the adjacency, and a tracker's oracles read this same graph.
+//
 // After every edge operation the index satisfies the full invariant suite
 // of corelib/invariants.h; randomized differential tests in
 // tests/maintainer_*.cc verify this against fresh decompositions, and
@@ -51,7 +54,6 @@
 
 #include "corelib/korder.h"
 #include "graph/delta.h"
-#include "graph/dynamic_csr.h"
 #include "graph/graph.h"
 #include "util/epoch.h"
 
@@ -81,26 +83,15 @@ class CoreMaintainer {
   const KOrder& order() const { return order_; }
   uint32_t CoreOf(VertexId v) const { return order_.CoreOf(v); }
 
-  /// Enables/disables the delta-maintained CSR mirror of the graph's
-  /// adjacency. While enabled, every InsertEdge / RemoveEdge patches the
-  /// mirror in lockstep with the dynamic adjacency (identical neighbor
-  /// order at every point — see dynamic_csr.h), so scan-heavy readers
-  /// (the follower oracle, the trial engine's worker oracles) can stay
-  /// bound to one contiguous view across the whole snapshot stream.
-  /// Enabling (re)builds the mirror from the current graph; disabling
-  /// frees it. Reset() rebuilds an enabled mirror for the new graph.
-  void SetCsrMirror(bool enabled);
-
-  /// The maintained CSR mirror, or nullptr when disabled. The pointer
-  /// stays valid across deltas (the object is patched in place).
-  const DynamicCsr* csr() const { return csr_enabled_ ? &csr_ : nullptr; }
+  /// No-op kept for perfbench/src/replay.cc, the one remaining caller;
+  /// it goes with the next change to the benchmark.
+  void SetCsrMirror(bool) {}
 
   /// Grows the vertex universe to at least `count` ids: isolated
-  /// vertices appended to the graph, the K-order (back of level 0), the
-  /// CSR mirror when enabled, and every cascade scratch array — all in
-  /// lockstep, no rebuild. Streaming delta sources discover vertices
-  /// mid-stream; callers grow before ApplyDelta so edge endpoints are
-  /// always in range. Existing state (cores, tags, deg+) is untouched:
+  /// vertices appended to the graph, the K-order (back of level 0) and
+  /// every cascade scratch array — all in lockstep, no rebuild.
+  /// Streaming delta sources discover vertices mid-stream; callers grow
+  /// before ApplyDelta so edge endpoints are always in range. Existing state (cores, tags, deg+) is untouched:
   /// an isolated vertex cannot change any other vertex's core number.
   void EnsureVertices(VertexId count);
 
@@ -151,15 +142,8 @@ class CoreMaintainer {
   bool InjectIndexFaultForDrill();
 
  private:
-  /// Cascades are templated over the adjacency they scan: the dynamic
-  /// per-vertex lists, or — when the mirror is enabled — the maintained
-  /// CSR (patched before the cascade runs, so both see the identical
-  /// post-mutation neighborhood in the identical order).
-  template <typename Adjacency>
-  void RunInsertCascade(const Adjacency& adj, VertexId root, uint32_t level);
-  template <typename Adjacency>
-  void RunRemoveCascade(const Adjacency& adj, std::span<const VertexId> seeds,
-                        uint32_t level);
+  void RunInsertCascade(VertexId root, uint32_t level);
+  void RunRemoveCascade(std::span<const VertexId> seeds, uint32_t level);
   void MarkAffected(VertexId v);
   /// Records v's pre-delta core on its first move of the delta; call
   /// before moving it, while CoreOf(v) still is that core.
@@ -168,8 +152,6 @@ class CoreMaintainer {
   Graph graph_;
   KOrder order_;
   MaintenanceStats stats_;
-  DynamicCsr csr_;
-  bool csr_enabled_ = false;
 
   // Insertion-cascade scratch: one 16-byte slot per vertex with its
   // epoch stamp. A cascade reads and writes these fields together, so

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace avt {
@@ -32,6 +33,16 @@ Flags Flags::Parse(int argc, char** argv) {
     }
   }
   return flags;
+}
+
+std::string Flags::FirstUnknown(
+    std::span<const std::string_view> accepted) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      return name;
+    }
+  }
+  return "";
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {

@@ -1,16 +1,21 @@
-// Minimal command-line flag parsing for the bench/example binaries.
+// Minimal command-line flag parsing for the CLI and bench binaries.
 //
 // Supports --name=value and --name value forms plus boolean switches
-// (--verbose). Unknown flags are reported; positional arguments are
-// collected in order. This deliberately avoids a third-party dependency —
-// the harness only needs a handful of scalar options.
+// (--verbose). Positional arguments are collected in order; syntax
+// problems (a bare "--") land in errors(). Parse accepts any flag name:
+// a caller that knows its accepted names asks FirstUnknown() for the
+// first one outside them (avt_cli rejects it per command, exit 2). This
+// deliberately avoids a third-party dependency — the harness only needs
+// a handful of scalar options.
 
 #ifndef AVT_UTIL_FLAGS_H_
 #define AVT_UTIL_FLAGS_H_
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace avt {
@@ -34,6 +39,10 @@ class Flags {
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+
+  /// The first parsed flag name (in name order) missing from
+  /// `accepted`, or "" when every flag is accepted.
+  std::string FirstUnknown(std::span<const std::string_view> accepted) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::vector<std::string>& errors() const { return errors_; }

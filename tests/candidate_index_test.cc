@@ -207,7 +207,6 @@ TEST(CandidateIndex, MatchesScratchEvaluationAfterEveryDelta) {
         Rng rng(77 * seed + k);
         CoreMaintainer m;
         m.Reset(gc.g0);
-        m.SetCsrMirror(seed % 2 == 0);
         CandidateIndex index;
         index.Seed(m.graph(), k,
                    CollectAnchorCandidates(m.graph(), m.order(), k));

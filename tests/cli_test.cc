@@ -225,60 +225,32 @@ TEST_F(CliTest, ThreadsAtOrBelowHardwareNotClamped) {
   EXPECT_EQ(err.find("clamping"), std::string::npos) << err;
 }
 
-TEST_F(CliTest, HelpMentionsCsrKnob) {
-  std::string out;
-  ASSERT_EQ(Run({"help"}, &out), 0);
-  EXPECT_NE(out.find("--csr maintained|rebuild|none"), std::string::npos);
-}
-
-TEST_F(CliTest, TrackRejectsUnknownCsrMode) {
+TEST_F(CliTest, RejectsUnknownFlag) {
+  // A misspelled flag must fail, not run silently with the default.
   std::string out, err;
-  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3", "--csr=frozen"},
+  EXPECT_EQ(Run({"track", "--dataset=eu-core", "--t=2", "--k=3", "--l=3",
+                 "--scale=0.05", "--bogus-flag=1"},
                 &out, &err),
             2);
-  EXPECT_NE(err.find("unknown --csr"), std::string::npos);
+  EXPECT_NE(err.find("error: unknown flag --bogus-flag for 'track'"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(out, "");
+  // A bare "--" is a syntax error, not a flag to ignore.
+  EXPECT_EQ(Run({"stats", "--"}, &out, &err), 2);
+  EXPECT_NE(err.find("error: bare '--' argument"), std::string::npos) << err;
 }
 
-TEST_F(CliTest, TrackCsrBackingsAgree) {
-  // The scan backing is a speed knob: every per-snapshot result column
-  // must be identical across maintained / rebuild / none (millis aside,
-  // which is why the comparison keeps only the result columns).
-  auto result_fields = [](const std::string& text) {
-    // Keep t / followers / anchored_core / candidates columns of the
-    // table rows (drop the trailing millis column), plus the smoothness
-    // line.
-    std::string kept;
-    std::istringstream stream(text);
-    for (std::string line; std::getline(stream, line);) {
-      if (line.find("smoothness") != std::string::npos) {
-        kept += line + "\n";
-        continue;
-      }
-      std::istringstream row(line);
-      std::string t, followers, core, candidates;
-      if (row >> t >> followers >> core >> candidates &&
-          t.find_first_not_of("0123456789") == std::string::npos) {
-        kept += t + " " + followers + " " + core + " " + candidates + "\n";
-      }
-    }
-    return kept;
-  };
-  std::string maintained, rebuild, none;
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--csr=maintained"},
-                &maintained),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--csr=rebuild"},
-                &rebuild),
-            0);
-  ASSERT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=4", "--k=3", "--l=3",
-                 "--scale=0.3", "--algo=incavt", "--csr=none"},
-                &none),
-            0);
-  EXPECT_NE(result_fields(maintained), "");
-  EXPECT_EQ(result_fields(maintained), result_fields(rebuild));
-  EXPECT_EQ(result_fields(maintained), result_fields(none));
+TEST_F(CliTest, TrackRejectsRetiredCsrFlag) {
+  // The scan-backing knob is gone; a script still passing it must fail.
+  std::string out, err;
+  EXPECT_EQ(Run({"track", "--dataset=CollegeMsg", "--t=3",
+                 "--csr=maintained"},
+                &out, &err),
+            2);
+  EXPECT_NE(err.find("error: unknown flag --csr for 'track'"),
+            std::string::npos)
+      << err;
 }
 
 TEST_F(CliTest, AnchorsThreadedMatchesSerial) {

@@ -534,13 +534,11 @@ struct GoldenDigests {
 // Replays `s` through ApplyDelta, digesting both reports and the index
 // after every delta. A twin maintainer applies the same operations one
 // at a time and checks deg+ against a fresh count after each one.
-GoldenDigests RunGolden(const GoldenStream& s, bool mirror) {
+GoldenDigests RunGolden(const GoldenStream& s) {
   CoreMaintainer m;
   m.Reset(s.g0);
-  m.SetCsrMirror(mirror);
   CoreMaintainer single;
   single.Reset(s.g0);
-  single.SetCsrMirror(mirror);
   Digest order, deg_plus, impacted, applied, core_before;
   for (size_t step = 0; step < s.deltas.size(); ++step) {
     const EdgeDelta& delta = s.deltas[step];
@@ -585,8 +583,7 @@ TEST(MaintainerGolden, WindowStreamPinsKOrder) {
       13590725794717149565ULL, 14131204925297410466ULL,
       3391305030403960171ULL, 3482896973095952964ULL,
       4735789347567973697ULL};
-  ExpectGolden(RunGolden(s, /*mirror=*/false), want);
-  ExpectGolden(RunGolden(s, /*mirror=*/true), want);
+  ExpectGolden(RunGolden(s), want);
 }
 
 TEST(MaintainerGolden, HubChurnStreamPinsKOrder) {
@@ -595,8 +592,7 @@ TEST(MaintainerGolden, HubChurnStreamPinsKOrder) {
       66399869118256105ULL, 7542965983380233423ULL,
       16102405251884876819ULL, 10633421539947038245ULL,
       11223780028530378281ULL};
-  ExpectGolden(RunGolden(s, /*mirror=*/false), want);
-  ExpectGolden(RunGolden(s, /*mirror=*/true), want);
+  ExpectGolden(RunGolden(s), want);
 }
 
 TEST(MaintainerStats, CountersAdvance) {

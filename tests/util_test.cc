@@ -169,6 +169,16 @@ TEST(Flags, DefaultsOnMissingOrMalformed) {
   EXPECT_EQ(flags.GetDouble("missing", 0.5), 0.5);
 }
 
+TEST(Flags, FirstUnknownNamesAFlagOutsideTheAcceptedSet) {
+  const char* argv[] = {"prog", "--k=3", "--list", "pos"};
+  Flags flags = Flags::Parse(4, const_cast<char**>(argv));
+  const std::vector<std::string_view> both = {"k", "list"};
+  const std::vector<std::string_view> only_k = {"k"};
+  EXPECT_EQ(flags.FirstUnknown(both), "");
+  EXPECT_EQ(flags.FirstUnknown(only_k), "list");
+  EXPECT_EQ(flags.FirstUnknown({}), "k");
+}
+
 TEST(Table, TextAndCsvRendering) {
   TablePrinter table({"name", "value"});
   table.Row().Str("alpha").Int(3);

@@ -1,7 +1,9 @@
 #include "cli_commands.h"
 
 #include <memory>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "anchor/anchored_core.h"
 #include "anchor/brute_force.h"
@@ -112,28 +114,6 @@ bool ParseThreads(const Flags& flags, FILE* err, uint32_t* num_threads) {
     value = hardware;
   }
   *num_threads = static_cast<uint32_t>(value);
-  return true;
-}
-
-// Parses --csr (default maintained): the incremental tracker's
-// cascade-scan backing. Other algorithms ignore it; results are
-// identical across backings either way.
-bool ParseCsrMode(const Flags& flags, FILE* err, IncAvtCsrMode* mode) {
-  *mode = IncAvtCsrMode::kMaintained;
-  if (!flags.Has("csr")) return true;
-  const std::string value = flags.GetString("csr", "");
-  if (value == "maintained") {
-    *mode = IncAvtCsrMode::kMaintained;
-  } else if (value == "rebuild") {
-    *mode = IncAvtCsrMode::kRebuildPerDelta;
-  } else if (value == "none") {
-    *mode = IncAvtCsrMode::kNone;
-  } else {
-    std::fprintf(err,
-                 "error: unknown --csr '%s' (maintained, rebuild, none)\n",
-                 value.c_str());
-    return false;
-  }
   return true;
 }
 
@@ -300,8 +280,6 @@ int RunAnchorsCommand(const Flags& flags, FILE* out, FILE* err) {
 int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
   uint32_t num_threads;
   if (!ParseThreads(flags, err, &num_threads)) return 2;
-  IncAvtCsrMode csr_mode;
-  if (!ParseCsrMode(flags, err, &csr_mode)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -340,7 +318,7 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
     return 2;
   }
 
-  AvtRunResult run = RunAvt(sequence, algorithm, k, l, num_threads, csr_mode);
+  AvtRunResult run = RunAvt(sequence, algorithm, k, l, num_threads);
   TablePrinter table(
       {"t", "followers", "anchored_core", "candidates", "millis"});
   for (const AvtSnapshotResult& snap : run.snapshots) {
@@ -363,8 +341,6 @@ int RunTrackCommand(const Flags& flags, FILE* out, FILE* err) {
 int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   uint32_t num_threads;
   if (!ParseThreads(flags, err, &num_threads)) return 2;
-  IncAvtCsrMode csr_mode;
-  if (!ParseCsrMode(flags, err, &csr_mode)) return 2;
   const uint32_t k = static_cast<uint32_t>(flags.GetInt("k", 3));
   const uint32_t l = static_cast<uint32_t>(flags.GetInt("l", 5));
   const size_t T = static_cast<size_t>(flags.GetInt("t", 10));
@@ -664,7 +640,7 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
   }
 
   auto make_tracker = [&]() {
-    return MakeTracker(algorithm, k, l, num_threads, csr_mode,
+    return MakeTracker(algorithm, k, l, num_threads,
                        static_cast<size_t>(batch));
   };
   std::unique_ptr<AvtTracker> tracker = make_tracker();
@@ -685,8 +661,8 @@ int RunStreamCommand(const Flags& flags, FILE* out, FILE* err) {
     // The fingerprint already covers the tracker/source names and the
     // batch width; fold in every flag that shapes the STREAM itself so
     // a resume under different parameters is rejected, not diverging.
-    // Thread count and csr backing stay out on purpose: outputs are
-    // bit-identical across them, so resuming under either is sound.
+    // Thread count stays out on purpose: outputs are bit-identical
+    // across it, so resuming under another count is sound.
     DurabilityOptions durability;
     durability.dir = checkpoint_dir;
     durability.checkpoint_every = static_cast<size_t>(checkpoint_every);
@@ -896,7 +872,7 @@ std::string UsageText() {
       "  anchors  anchored k-core query        (<edge-list> --k --l "
       "[--algo] [--threads])\n"
       "  track    AVT over an evolving graph   (--dataset|--temporal --t "
-      "--k --l [--algo] [--threads] [--csr])\n"
+      "--k --l [--algo] [--threads])\n"
       "  stream   AVT over a delta stream      "
       "(--source=file|binlog|gen|sequence "
       "--k --l [--coalesce-window N] [--batch N]\n"
@@ -940,9 +916,6 @@ std::string UsageText() {
       "incavt; results are bit-identical at every thread count (values\n"
       "above the hardware concurrency are clamped with a warning). Other\n"
       "algorithms run serial regardless.\n"
-      "--csr maintained|rebuild|none picks incavt's cascade-scan backing\n"
-      "(default maintained: a delta-maintained CSR patched per edge).\n"
-      "Results are bit-identical across backings; only speed changes.\n"
       "--checkpoint-dir D arms crash safety: every committed transaction\n"
       "is appended to D/wal.log and checkpoints are written every\n"
       "--checkpoint-every N transactions (0 = initial checkpoint only).\n"
@@ -967,10 +940,54 @@ std::string UsageText() {
       "failure-rate circuit breaker (closed/open/half-open, pull-counted\n"
       "cooldown). --corrupt-state-after N desyncs the tracker index\n"
       "after snapshot N (drill for audit-triggered recovery).\n"
+      "Each command accepts only the flags listed for it; any other\n"
+      "--name is an error (exit 2).\n"
       "exit codes: 0 ok, 2 invalid argument, 3 not found, 4 corruption,\n"
       "5 io error (or source unavailable), 6 completed but degraded\n"
       "(quarantined deltas / audit recovery), 1 other failure.\n";
 }
+
+namespace {
+
+// One avt_cli command: its runner and every flag name it reads. RunCli
+// rejects any other flag, so a misspelled or retired flag fails loudly
+// instead of running with the default.
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags& flags, FILE* out, FILE* err);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"gen", RunGenCommand,
+       {"alpha", "avg-degree", "beta", "communities", "max-degree", "model",
+        "n", "out", "p-intra", "seed"}},
+      {"stats", RunStatsCommand, {}},
+      {"core", RunCoreCommand, {"k", "list"}},
+      {"anchors", RunAnchorsCommand, {"algo", "k", "l", "threads"}},
+      {"track", RunTrackCommand,
+       {"algo", "dataset", "k", "l", "scale", "seed", "t", "temporal",
+        "threads", "window"}},
+      {"stream", RunStreamCommand,
+       {"algo", "alpha", "audit-every", "audit-sample", "audit-seed",
+        "avg-degree", "batch", "binlog", "breaker", "breaker-cooldown",
+        "breaker-threshold", "breaker-window", "checkpoint-dir",
+        "checkpoint-every", "churn-max", "churn-min", "coalesce-window",
+        "corrupt-state-after", "dataset", "fault-corrupt-after",
+        "fault-rate", "fault-seed", "fsync", "k", "l", "max-degree",
+        "max-retries", "max-universe", "meta-tmax", "meta-tmin",
+        "meta-vertices", "n", "poison-rate", "poison-seed",
+        "quarantine-dir", "resume", "scale", "seed", "source", "t",
+        "temporal", "threads", "window"}},
+      {"quarantine", RunQuarantineCommand, {}},
+      {"convert", RunConvertCommand,
+       {"index-every", "out-prefix", "t", "window"}},
+  };
+  return commands;
+}
+
+}  // namespace
 
 int RunCli(int argc, char** argv, FILE* out, FILE* err) {
   if (argc < 2) {
@@ -978,18 +995,24 @@ int RunCli(int argc, char** argv, FILE* out, FILE* err) {
     return 2;
   }
   std::string command = argv[1];
-  Flags flags = Flags::Parse(argc - 1, argv + 1);
-  if (command == "gen") return RunGenCommand(flags, out, err);
-  if (command == "stats") return RunStatsCommand(flags, out, err);
-  if (command == "core") return RunCoreCommand(flags, out, err);
-  if (command == "anchors") return RunAnchorsCommand(flags, out, err);
-  if (command == "track") return RunTrackCommand(flags, out, err);
-  if (command == "stream") return RunStreamCommand(flags, out, err);
-  if (command == "quarantine") return RunQuarantineCommand(flags, out, err);
-  if (command == "convert") return RunConvertCommand(flags, out, err);
   if (command == "help" || command == "--help") {
     std::fprintf(out, "%s", UsageText().c_str());
     return 0;
+  }
+  Flags flags = Flags::Parse(argc - 1, argv + 1);
+  for (const Command& entry : Commands()) {
+    if (entry.name != command) continue;
+    if (!flags.errors().empty()) {
+      std::fprintf(err, "error: %s\n", flags.errors().front().c_str());
+      return 2;
+    }
+    const std::string unknown = flags.FirstUnknown(entry.flags);
+    if (!unknown.empty()) {
+      std::fprintf(err, "error: unknown flag --%s for '%s'\n",
+                   unknown.c_str(), command.c_str());
+      return 2;
+    }
+    return entry.run(flags, out, err);
   }
   std::fprintf(err, "error: unknown command '%s'\n%s", command.c_str(),
                UsageText().c_str());
