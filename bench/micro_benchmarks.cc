@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "anchor/anchored_core.h"
 #include "anchor/candidates.h"
 #include "anchor/follower_oracle.h"
@@ -19,6 +21,7 @@
 #include "gen/temporal.h"
 #include "maint/maintainer.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace avt {
 namespace {
@@ -189,9 +192,14 @@ BENCHMARK(BM_ApplyDeltaWindow)->Arg(2000)->Arg(5000)->Unit(
 
 // One sentinel audit (sampled probe + the linear certificate pass) of a
 // maintained Chung-Lu state after a few churn deltas, as AvtEngine runs
-// it every --audit-every transactions.
+// it every --audit-every transactions. Args: vertices, workers (the
+// audit runs on a pool of that many, as on an IncAVT tracker's pool at
+// --threads; 1 runs it on the caller alone).
 void BM_SentinelAudit(benchmark::State& state) {
   Graph current = BenchGraph(state.range(0));
+  const auto workers = static_cast<uint32_t>(state.range(1));
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
   CoreMaintainer m;
   m.Reset(current);
   Rng rng(81);
@@ -203,7 +211,8 @@ void BM_SentinelAudit(benchmark::State& state) {
   SentinelAuditor auditor(options);
   size_t step = 0;
   for (auto _ : state) {
-    const AuditOutcome outcome = auditor.Audit(&m.graph(), &m.order(), ++step);
+    const AuditOutcome outcome =
+        auditor.Audit(&m.graph(), &m.order(), ++step, pool.get());
     if (!outcome.ok) {
       state.SkipWithError(outcome.failure.c_str());
       return;
@@ -212,8 +221,10 @@ void BM_SentinelAudit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(m.graph().NumEdges()));
 }
-BENCHMARK(BM_SentinelAudit)->Arg(50000)->Arg(200000)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_SentinelAudit)
+    ->ArgsProduct({{50000, 200000}, {1, 4}})
+    ->UseRealTime()  // the pool's workers burn CPU off the timed thread
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace avt

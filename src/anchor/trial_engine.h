@@ -100,6 +100,10 @@ class TrialEngine {
 
   uint32_t num_threads() const { return num_threads_; }
 
+  /// The workers' pool (null at 1 thread). It is idle between sessions,
+  /// so callers may run their own fork-join work on it there.
+  ThreadPool* pool() const { return pool_.get(); }
+
   /// Worker 0's oracle, for the caller's own serial queries between
   /// picks (its resident base is the engine's; do not BuildBase on it
   /// during a lazy session).

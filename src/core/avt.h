@@ -70,12 +70,16 @@ struct AvtRunResult {
 };
 
 class KOrder;
+class ThreadPool;
 
 /// Read-only window into a tracker's internals for integrity audits
 /// (see AvtTracker::AuditView and core/health.h).
 struct TrackerAuditView {
   const Graph* graph = nullptr;
   const KOrder* order = nullptr;
+  /// The tracker's worker pool, idle between transactions, for the
+  /// audit to run on; null runs the audit on the caller alone.
+  ThreadPool* pool = nullptr;
 };
 
 /// Streaming tracker interface over an evolving graph. Trackers consume

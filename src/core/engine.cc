@@ -323,7 +323,7 @@ Status AvtEngine::Quarantine(QuarantineReason reason, const EdgeDelta& delta,
 
 AuditOutcome AvtEngine::AuditTracker(const AvtTracker& tracker) {
   const TrackerAuditView view = tracker.AuditView();
-  return auditor_.Audit(view.graph, view.order, processed_);
+  return auditor_.Audit(view.graph, view.order, processed_, view.pool);
 }
 
 Status AvtEngine::HaltWith(HealthReason reason, Status status) {

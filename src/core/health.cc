@@ -68,7 +68,7 @@ std::string HealthStateMachine::Describe() const {
 }
 
 AuditOutcome SentinelAuditor::Audit(const Graph* graph, const KOrder* order,
-                                    size_t step) {
+                                    size_t step, ThreadPool* pool) {
   AuditOutcome outcome;
   if (graph == nullptr || order == nullptr) return outcome;
   outcome.audited = true;
@@ -92,7 +92,7 @@ AuditOutcome SentinelAuditor::Audit(const Graph* graph, const KOrder* order,
     }
   }
 
-  InvariantReport report = CheckKOrderInvariants(*graph, *order);
+  InvariantReport report = CheckKOrderInvariants(*graph, *order, pool);
   if (!report.ok) {
     ++audits_failed_;
     outcome.ok = false;

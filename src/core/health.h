@@ -17,12 +17,18 @@
 // configurable cadence it certifies that the tracker's incrementally
 // maintained K-order index holds the true core numbers of its graph,
 // without recomputing them — first K seeded per-vertex certificate
-// spot checks (the cheap sampled probe), then the full
-// CheckKOrderInvariants pass, O(n + m) over links and neighbours, whose
-// local conditions hold iff the levels equal a fresh decomposition
-// (corelib/invariants.h). The audit is strictly read-only: an audited
-// run's anchors and followers are bit-identical to an unaudited one
-// (pinned by tests/self_healing_test.cc).
+// spot checks (the sampled probe), then the full CheckKOrderInvariants
+// pass, O(n + m) over links and neighbours, whose local conditions hold
+// iff the levels equal a fresh decomposition (corelib/invariants.h).
+// The full pass runs the same certificate at every vertex, so the probe
+// never changes a verdict: a fault it finds the full pass finds too,
+// and K only decides whether the failure text reads "sampled vertex
+// check failed" or "invariant sweep failed". The full pass runs on the
+// tracker's worker pool when it has one (TrackerAuditView::pool), with
+// the same verdict and text at every worker count. The audit is
+// strictly read-only: an audited run's anchors and followers are
+// bit-identical to an unaudited one (pinned by
+// tests/self_healing_test.cc).
 
 #ifndef AVT_CORE_HEALTH_H_
 #define AVT_CORE_HEALTH_H_
@@ -36,6 +42,7 @@ namespace avt {
 
 class Graph;
 class KOrder;
+class ThreadPool;
 
 enum class HealthState {
   kHealthy = 0,   ///< no anomaly observed
@@ -107,7 +114,9 @@ struct AuditOptions {
   /// Audit after every Nth committed delta transaction; 0 disables.
   size_t every = 0;
   /// Seeded per-vertex certificate spot checks per audit (before the
-  /// full invariant sweep; 0 skips the sampled probe).
+  /// full invariant sweep; 0 skips the sampled probe). The sweep checks
+  /// every vertex anyway, so this never changes a verdict, only whether
+  /// a failure is reported as "sampled vertex check failed".
   uint32_t sample = 16;
   /// Seed for the per-audit sample draw; mixed with the step so every
   /// audit probes a fresh deterministic sample.
@@ -135,9 +144,11 @@ class SentinelAuditor {
   }
 
   /// Certifies `order` against `graph`: the sampled probe, then the
-  /// full invariant pass. Either pointer null → outcome.audited = false.
-  /// Never mutates anything; O(n + m), with no decomposition.
-  AuditOutcome Audit(const Graph* graph, const KOrder* order, size_t step);
+  /// full invariant pass, on `pool` when one is given (it must be idle).
+  /// Either pointer null → outcome.audited = false. Never mutates
+  /// anything; O(n + m), with no decomposition.
+  AuditOutcome Audit(const Graph* graph, const KOrder* order, size_t step,
+                     ThreadPool* pool = nullptr);
 
   uint64_t audits_run() const { return audits_run_; }
   uint64_t audits_failed() const { return audits_failed_; }

@@ -132,9 +132,11 @@ class IncAvtTracker : public AvtTracker {
   const std::vector<VertexId>& last_pool() const { return pool_; }
 
   /// The maintained graph + K-order index: exactly the redundant state
-  /// integrity audits certify against each other.
+  /// integrity audits certify against each other, plus the trial
+  /// engine's pool to certify them on.
   TrackerAuditView AuditView() const override {
-    return {&maintainer_.graph(), &maintainer_.order()};
+    return {&maintainer_.graph(), &maintainer_.order(),
+            engine_ != nullptr ? engine_->pool() : nullptr};
   }
   bool InjectAuditFaultForDrill() override {
     return maintainer_.InjectIndexFaultForDrill();

@@ -43,8 +43,54 @@ bool CheckVertexCertificate(const Graph& graph, const KOrder& order,
   return true;
 }
 
-InvariantReport CheckKOrderInvariants(const Graph& graph,
-                                      const KOrder& order) {
+namespace {
+
+// Check 1's conditions at v, each reading only v, its two links and its
+// level's head and tail (docs/ARCHITECTURE.md, "The level lists are
+// checked link by link"). n bounds the link targets.
+bool CheckLinks(const KOrder& order, VertexId n, VertexId v,
+                InvariantReport* report) {
+  const uint32_t level = order.CoreOf(v);
+  const VertexId next = order.NextInLevel(v);
+  if (next == kNoVertex) {
+    if (order.LevelBack(level) != v) {
+      report->Fail("tail mismatch at level " + std::to_string(level));
+      return false;
+    }
+  } else if (next >= n) {
+    report->Fail("broken next link at vertex " + std::to_string(v));
+    return false;
+  } else if (order.CoreOf(next) != level) {
+    report->Fail("vertex " + std::to_string(next) + " in wrong level list");
+    return false;
+  } else if (order.TagOf(next) <= order.TagOf(v)) {
+    report->Fail("non-monotone tags at vertex " + std::to_string(next));
+    return false;
+  }
+  const VertexId prev = order.PrevInLevel(v);
+  if (prev == kNoVertex) {
+    if (order.LevelFront(level) != v) {
+      report->Fail("head mismatch at level " + std::to_string(level));
+      return false;
+    }
+  } else if (prev >= n || order.NextInLevel(prev) != v) {
+    report->Fail("broken prev link at vertex " + std::to_string(v));
+    return false;
+  }
+  return true;
+}
+
+// One fixed block of vertex ids: the first failure in it, and how many
+// of its vertices sit at each level up to the top one.
+struct BlockResult {
+  InvariantReport report;
+  std::vector<uint32_t> level_count;
+};
+
+}  // namespace
+
+InvariantReport CheckKOrderInvariants(const Graph& graph, const KOrder& order,
+                                      ThreadPool* pool) {
   InvariantReport report;
   const VertexId n = graph.NumVertices();
   if (order.NumVertices() != n) {
@@ -52,55 +98,57 @@ InvariantReport CheckKOrderInvariants(const Graph& graph,
     return report;
   }
 
-  // 1. Level lists: linkage, tag monotonicity, size, full coverage.
-  std::vector<uint8_t> seen(n, 0);
-  uint64_t total = 0;
-  for (uint32_t level = 0; level <= order.MaxLevel(); ++level) {
-    uint32_t count = 0;
-    VertexId prev = kNoVertex;
-    for (VertexId v = order.LevelFront(level); v != kNoVertex;
-         v = order.NextInLevel(v)) {
-      if (seen[v]) {
-        report.Fail("vertex " + std::to_string(v) + " appears twice");
-        return report;
+  // Per vertex in id order: check 1's link conditions, then checks 2–4.
+  // Each block stops at its first failure, so the lowest failing block
+  // holds the failure at the lowest failing id, whatever the split.
+  const uint32_t top = order.MaxLevel();
+  const uint32_t blocks = pool != nullptr ? pool->num_threads() : 1;
+  std::vector<BlockResult> results(blocks);
+  auto run_block = [&](uint32_t block) {
+    BlockResult& result = results[block];
+    result.level_count.assign(top + 1, 0);
+    const VertexId end =
+        static_cast<VertexId>(ThreadPool::BlockEnd(n, blocks, block));
+    for (VertexId v = static_cast<VertexId>(
+             ThreadPool::BlockBegin(n, blocks, block));
+         v < end; ++v) {
+      if (!CheckLinks(order, n, v, &result.report) ||
+          !CheckVertexCertificate(graph, order, v, &result.report)) {
+        return;
       }
-      seen[v] = 1;
-      if (order.CoreOf(v) != level) {
-        report.Fail("vertex " + std::to_string(v) + " in wrong level list");
-        return report;
-      }
-      if (order.PrevInLevel(v) != prev) {
-        report.Fail("broken prev link at vertex " + std::to_string(v));
-        return report;
-      }
-      if (prev != kNoVertex && order.TagOf(prev) >= order.TagOf(v)) {
-        report.Fail("non-monotone tags at vertex " + std::to_string(v));
-        return report;
-      }
-      prev = v;
-      ++count;
+      // A vertex above the top level is left uncounted: following its
+      // prev links reaches a head at that level, whose null front fails
+      // the head condition, so the counters below never run.
+      const uint32_t level = order.CoreOf(v);
+      if (level <= top) ++result.level_count[level];
     }
-    if (order.LevelBack(level) != prev) {
-      report.Fail("tail mismatch at level " + std::to_string(level));
-      return report;
+  };
+  if (pool != nullptr) {
+    pool->Run(run_block);
+  } else {
+    run_block(0);
+  }
+  for (const BlockResult& result : results) {
+    if (!result.report.ok) return result.report;
+  }
+
+  // The counters: each level's size is its population, and an empty
+  // level has neither head nor tail.
+  for (uint32_t level = 0; level <= top; ++level) {
+    uint32_t count = 0;
+    for (const BlockResult& result : results) {
+      count += result.level_count[level];
     }
     if (count != order.LevelSize(level)) {
       report.Fail("size counter mismatch at level " + std::to_string(level));
       return report;
     }
-    total += count;
-  }
-  if (total != n) {
-    report.Fail("level lists cover " + std::to_string(total) + " of " +
-                std::to_string(n) + " vertices");
-    return report;
-  }
-
-  // 2–4. The two-sided core certificate plus deg+ and peel order. It
-  // relies on (level, tag) being a strict total order over all
-  // vertices, which check 1 establishes.
-  for (VertexId v = 0; v < n; ++v) {
-    if (!CheckVertexCertificate(graph, order, v, &report)) return report;
+    if (count == 0 && (order.LevelFront(level) != kNoVertex ||
+                       order.LevelBack(level) != kNoVertex)) {
+      report.Fail("empty level " + std::to_string(level) +
+                  " has a head or tail");
+      return report;
+    }
   }
   return report;
 }

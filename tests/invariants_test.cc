@@ -3,12 +3,14 @@
 // the differential suites vacuous). The equivalence suite then pins the
 // decomposition-free certificate to the decomposition-based reference
 // (invariants_reference.h) across generated, maintained and corrupted
-// states.
+// states, and the block-parallel pass to the serial one: the same
+// verdict and failure text with no pool and at 2, 3 and 4 workers.
 
 #include "corelib/invariants.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "invariants_reference.h"
 #include "maint/maintainer.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace avt {
 
@@ -160,6 +163,21 @@ TEST(InvariantsNegative, DetectsIntraLevelOrderCorruption) {
             std::string::npos);
 }
 
+TEST(InvariantsNegative, DetectsOutOfRangeLinks) {
+  Graph g = TestGraph();
+  KOrder order;
+  order.Build(g);
+  const VertexId beyond = g.NumVertices() + 5;
+  KOrder bad_next = order;
+  KOrderTestPeer::SetNext(bad_next, 7, beyond);
+  EXPECT_EQ(CheckKOrderInvariants(g, bad_next).failure,
+            "broken next link at vertex 7");
+  KOrder bad_prev = order;
+  KOrderTestPeer::SetPrev(bad_prev, 7, beyond);
+  EXPECT_EQ(CheckKOrderInvariants(g, bad_prev).failure,
+            "broken prev link at vertex 7");
+}
+
 TEST(InvariantsNegative, VertexCountMismatch) {
   Graph g = TestGraph();
   KOrder order;
@@ -293,7 +311,7 @@ std::vector<Corruption> Corrupt(const IndexedGraph& state, VertexId v,
   }
   // Relevelled while staying inside its old level's list, with both
   // size counters and every deg+ adjusted to match: among the list
-  // checks only the walk's level-membership condition can see it.
+  // checks only level membership (the next vertex's level) can see it.
   if (base.PrevInLevel(v) != kNoVertex && next != kNoVertex &&
       core + 1 <= base.MaxLevel()) {
     Corruption& c = add("relevel inside the list");
@@ -305,6 +323,7 @@ std::vector<Corruption> Corrupt(const IndexedGraph& state, VertexId v,
   for (uint32_t level = 0; level <= base.MaxLevel(); ++level) {
     if (base.LevelSize(level) == 0) {
       KOrderTestPeer::SetHead(add("empty level head").order, level, v);
+      KOrderTestPeer::SetTail(add("empty level tail").order, level, v);
       break;
     }
   }
@@ -322,10 +341,40 @@ std::vector<Corruption> Corrupt(const IndexedGraph& state, VertexId v,
   return out;
 }
 
+// Pools of 2, 3 and 4 workers, shared by the suites below.
+const std::vector<std::unique_ptr<ThreadPool>>& Pools() {
+  static const std::vector<std::unique_ptr<ThreadPool>> pools = [] {
+    std::vector<std::unique_ptr<ThreadPool>> made;
+    for (uint32_t workers : {2u, 3u, 4u}) {
+      made.push_back(std::make_unique<ThreadPool>(workers));
+    }
+    return made;
+  }();
+  return pools;
+}
+
+// The serial report, after checking that every pool gives the same
+// verdict and the same failure text.
+InvariantReport CheckAtEveryWorkerCount(const Graph& graph,
+                                        const KOrder& order,
+                                        const std::string& context) {
+  const InvariantReport serial = CheckKOrderInvariants(graph, order);
+  for (const auto& pool : Pools()) {
+    const InvariantReport parallel =
+        CheckKOrderInvariants(graph, order, pool.get());
+    EXPECT_EQ(parallel.ok, serial.ok)
+        << context << " at " << pool->num_threads() << " workers";
+    EXPECT_EQ(parallel.failure, serial.failure)
+        << context << " at " << pool->num_threads() << " workers";
+  }
+  return serial;
+}
+
 TEST(InvariantsEquivalence, HealthyStatesPassBoth) {
   for (const IndexedGraph& state : EquivalenceStates()) {
     ASSERT_TRUE(ReferenceCheck(state.graph, state.order).ok()) << state.name;
-    InvariantReport report = CheckKOrderInvariants(state.graph, state.order);
+    InvariantReport report =
+        CheckAtEveryWorkerCount(state.graph, state.order, state.name);
     EXPECT_TRUE(report.ok) << state.name << ": " << report.failure;
   }
 }
@@ -340,7 +389,8 @@ TEST(InvariantsEquivalence, VerdictMatchesDecompositionReference) {
       const VertexId v = static_cast<VertexId>(rng.Uniform(n));
       for (const Corruption& c : Corrupt(state, v, variant)) {
         const ReferenceVerdict reference = ReferenceCheck(c.graph, c.order);
-        const InvariantReport report = CheckKOrderInvariants(c.graph, c.order);
+        const InvariantReport report = CheckAtEveryWorkerCount(
+            c.graph, c.order, state.name + ", " + c.what);
         // Every class really is a defect, so agreement is not vacuous.
         EXPECT_FALSE(reference.ok()) << state.name << ", " << c.what;
         EXPECT_EQ(report.ok, reference.ok())
@@ -359,6 +409,32 @@ TEST(InvariantsEquivalence, VerdictMatchesDecompositionReference) {
   // Raised levels with a valid peel order must occur, or the suite would
   // not exercise the certificate's lower bound at all.
   EXPECT_GT(mcd_only, 0u);
+}
+
+// Faults in the first and the last block at once: every worker count
+// reports the one at the lower vertex id.
+TEST(InvariantsEquivalence, LowestFaultWinsAcrossBlocks) {
+  Rng rng(2024);
+  const Graph g = ChungLuPowerLaw(20000, 6.0, 2.2, 200, rng);
+  const VertexId n = g.NumVertices();
+  KOrder order;
+  order.Build(g);
+  ASSERT_TRUE(CheckAtEveryWorkerCount(g, order, "clean").ok);
+
+  auto stale_at = [](VertexId v) {
+    return "stale deg+ at vertex " + std::to_string(v) + ":";
+  };
+  const VertexId low = 0;
+  const VertexId high = n - 1;
+  order.SetDegPlus(high, order.DegPlus(high) + 1);
+  const InvariantReport high_only =
+      CheckAtEveryWorkerCount(g, order, "last block only");
+  EXPECT_EQ(high_only.failure.find(stale_at(high)), 0u) << high_only.failure;
+
+  order.SetDegPlus(low, order.DegPlus(low) + 1);
+  const InvariantReport both =
+      CheckAtEveryWorkerCount(g, order, "first and last block");
+  EXPECT_EQ(both.failure.find(stale_at(low)), 0u) << both.failure;
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // unaudited ones across the tracker configuration matrix, structural
 // poison is quarantined exactly (and only the poison — the surviving
 // stream tracks the clean run), universe caps fence absurd ids, an
-// injected index desync self-recovers via checkpoint+WAL rollback,
-// audit divergence without rollback machinery halts honestly, the
+// injected index desync self-recovers via checkpoint+WAL rollback (with
+// the same failure text and healed track at 1 and 4 threads), audit
+// divergence without rollback machinery halts honestly, the
 // deterministic bisection isolates a semantically poisonous delta
 // inside a merged batch, and the quarantine dead-letter log survives
 // torn tails and resumes its sequence across reopen.
@@ -389,6 +390,65 @@ TEST(AuditRecovery, WithoutRollbackMachineryHaltsWithCorruption) {
   StatusOr<bool> again = engine.Step();
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().message(), status.message());
+}
+
+// The audit runs on the tracker's worker pool: a drill at 4 threads
+// fails with the same text and heals to the same track as at 1 thread.
+TEST(AuditRecovery, DrillIsThreadCountInvariant) {
+  Graph initial = TestGraph();
+  ChurnOptions churn;
+  churn.num_snapshots = 12;
+  churn.min_churn = 8;
+  churn.max_churn = 18;
+
+  std::vector<std::string> halts;
+  std::vector<FinalState> healed;
+  for (uint32_t threads : {1u, 4u}) {
+    auto make_tracker = [threads]() {
+      IncAvtOptions options;
+      options.num_threads = threads;
+      return std::make_unique<IncAvtTracker>(3, 3, IncAvtMode::kRestricted,
+                                             options);
+    };
+
+    // Without rollback machinery the halt carries the failure text. No
+    // sampled probe, so the text comes from the full pass.
+    EngineOptions halting_options;
+    halting_options.audit.every = 2;
+    halting_options.audit.sample = 0;
+    AvtEngine halting(make_tracker(),
+                      std::make_unique<ChurnSource>(initial, churn, Rng(29)),
+                      halting_options);
+    halting.RequestAuditFaultDrill();
+    Status halt = halting.Drain();
+    ASSERT_FALSE(halt.ok()) << threads;
+    EXPECT_NE(halt.message().find("invariant sweep failed: "),
+              std::string::npos)
+        << halt.message();
+    EXPECT_EQ(halting.tracker().AuditView().pool != nullptr, threads > 1);
+    halts.push_back(halt.message());
+
+    TempDir dir("avt-audit-drill-threads");
+    EngineOptions options;
+    options.audit.every = 2;
+    AvtEngine engine(make_tracker(),
+                     std::make_unique<ChurnSource>(initial, churn, Rng(23)),
+                     options);
+    engine.SetTrackerFactory(make_tracker);
+    DurabilityOptions durability;
+    durability.dir = dir.path();
+    ASSERT_TRUE(engine.EnableDurability(durability).ok());
+    engine.SetObserver([&engine](const AvtSnapshotResult& snap) {
+      if (snap.t == 3) engine.RequestAuditFaultDrill();
+    });
+    Status status = engine.Drain();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(engine.Recoveries(), 1u) << threads;
+    healed.push_back(Capture(engine));
+  }
+  EXPECT_EQ(halts[0], halts[1]);
+  EXPECT_TRUE(healed[0] == healed[1])
+      << "the healed track depends on the thread count";
 }
 
 // --- Bisection: semantic poison inside a merged batch -----------------

@@ -928,8 +928,11 @@ std::string UsageText() {
       "injects a sticky corrupt frame, surfacing as exit code 4.\n"
       "--audit-every N runs a cadenced integrity audit (--audit-sample\n"
       "K sampled vertex checks + one linear pass certifying every core\n"
-      "number without re-decomposing the graph) every N transactions,\n"
-      "BEFORE the transaction commits to the WAL. With\n"
+      "number without re-decomposing the graph, on the --threads\n"
+      "workers) every N transactions, BEFORE the transaction commits to\n"
+      "the WAL. The linear pass checks every vertex, so K never changes\n"
+      "a verdict: it only decides whether a failure reads \"sampled\n"
+      "vertex check failed\". With\n"
       "--checkpoint-dir, an audit divergence self-heals by\n"
       "checkpoint+WAL rollback; with --quarantine-dir D,\n"
       "deltas that fail validation or are isolated by bisection land in\n"
